@@ -5,15 +5,8 @@ whose stochastic operators are reparameterized, letting an outer Adam
 loop learn the strategy parameters from the optimization loss itself.
 """
 
-from .tape import Param, Tape, Var, softmax_col, softmax_rows
-from .relax import (
-    RelaxConfig,
-    Rng,
-    gumbel_sigmoid,
-    gumbel_softmax,
-    logistic_noise,
-    pathwise_gaussian,
-)
+from .tape import Param, Tape, Var
+from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax, logistic_noise
 from .problems import BenchmarkProblem, BoxDomain, Problem, benchmark_names, make_problem
 from .wine import MlpSpec, WineProblem, load_wine, noisy_targets, write_synthetic_wine
 from .classic import (
@@ -87,14 +80,11 @@ __all__ = [
     "noisy_targets",
     "op_checks",
     "parse_config_file",
-    "pathwise_gaussian",
     "quartiles",
     "run_all",
     "run_experiment",
     "run_loop",
     "run_single",
-    "softmax_col",
-    "softmax_rows",
     "summary_stats",
     "tournament_select",
     "write_synthetic_wine",

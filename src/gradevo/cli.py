@@ -16,93 +16,38 @@ from pathlib import Path
 from .harness import (
     ALGO_NAMES,
     ExperimentConfig,
+    _coerce,
     load_experiment,
     parse_config_file,
     run_experiment,
 )
 from .plots import emit_boxplot_svg, emit_convergence_svg
-from .problems import benchmark_names
 
 GRID_PROBLEMS = ("ackley", "michalewicz", "rosenbrock", "griewank")
 GRID_DIMS = (30, 50)
 
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {v}")
-    return v
+def _flag_type(name: str):
+    def parse(text: str):
+        try:
+            return _coerce(name, text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def _nonneg_float(text: str) -> float:
-    v = float(text)
-    if v < 0.0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative value, got {v}")
-    return v
-
-
-def _bool_flag(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
+    return parse
 
 
 def _add_config_flags(p: argparse.ArgumentParser, skip=()) -> None:
     """One flag per ExperimentConfig field, defaulting to 'not provided'."""
-    add = p.add_argument
-    if "algo" not in skip:
-        add("--algo", choices=ALGO_NAMES, default=None,
-            help="algorithm (classical name or <name>-diff)")
-    if "problem" not in skip:
-        add("--problem", choices=benchmark_names() + ("wine",), default=None)
-    if "dim" not in skip:
-        add("--dim", type=_positive_int, default=None,
-            help="problem dimensionality")
-    if "pop" not in skip:
-        add("--pop", type=_positive_int, default=None, help="population size")
-    if "budget" not in skip:
-        add("--budget", type=_positive_int, default=None,
-            help="total fitness evaluations per run")
-    if "runs" not in skip:
-        add("--runs", type=_positive_int, default=None,
-            help="independent seeded runs")
-    if "seed" not in skip:
-        add("--seed", type=int, default=None, help="base seed; run i uses seed+i")
-    if "lr" not in skip:
-        add("--lr", type=_nonneg_float, default=None,
-            help="outer Adam learning rate (0 freezes the hyperparameters)")
-    add("--loss", choices=("best", "mean"), default=None,
-        help="generation loss: best candidate or population mean")
-    add("--tau", type=float, default=None, help="relaxation temperature")
-    if "sigma0" not in skip:
-        add("--sigma0", type=_nonneg_float, default=None,
-            help="initial CMA-ES step size (0 = default)")
-    add("--variant", choices=("rand1", "best1"), default=None,
-        help="DE mutation variant")
-    add("--elitism", type=_bool_flag, default=None, metavar="BOOL")
-    add("--hard-masks", dest="hard_masks", type=_bool_flag, default=None,
-        metavar="BOOL", help="straight-through masks instead of soft blends")
-    add("--hard-selection", dest="hard_selection", type=_bool_flag,
-        default=None, metavar="BOOL",
-        help="straight-through parent selection instead of soft mixtures")
-    add("--patience", type=_positive_int, default=None,
-        help="plateau generations before the lr halves")
-    add("--lr-factor", dest="lr_factor", type=float, default=None)
-    add("--min-lr", dest="min_lr", type=_nonneg_float, default=None)
-    add("--lo", type=float, default=None, help="box lower bound")
-    add("--hi", type=float, default=None, help="box upper bound")
-    add("--wine-data", dest="wine_data", default=None,
-        help="path to the semicolon-separated wine table "
-             "(default: a bundled synthetic stand-in)")
-    add("--out-dir", dest="out_dir", default=None,
-        help="output root (default: $GRADEVO_OUTDIR or cwd)")
-    add("--workers", type=_positive_int, default=None,
-        help="parallel worker processes")
-    if "label" not in skip:
-        add("--label", default=None, help="experiment directory name")
+    for f in fields(ExperimentConfig):
+        if f.name in skip:
+            continue
+        p.add_argument(
+            "--" + f.name.replace("_", "-"), type=_flag_type(f.name),
+            default=None, choices=f.metadata.get("choices"),
+            metavar="BOOL" if isinstance(f.default, bool) else None,
+            help=f.metadata.get("help"),
+        )
 
 
 def _cli_overrides(args: argparse.Namespace) -> dict:
@@ -171,8 +116,10 @@ def _cmd_wine(args) -> int:
         algo="adam", problem="wine", pop=1, budget=args.budget,
         lr=args.adam_lr, label="adam-wine",
     )
-    evo_stats, evo_dir = run_experiment(ExperimentConfig(**evo))
-    adam_stats, _ = run_experiment(ExperimentConfig(**adam))
+    # both configs are checked before either arm runs
+    evo_cfg, adam_cfg = ExperimentConfig(**evo), ExperimentConfig(**adam)
+    evo_stats, _ = run_experiment(evo_cfg)
+    adam_stats, _ = run_experiment(adam_cfg)
     print(
         f"final MSE: cmaes-diff mean={evo_stats.mean:.4g} "
         f"(min {evo_stats.min:.4g}, max {evo_stats.max:.4g}) | "
@@ -254,29 +201,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algos", default=None,
                    help="comma list (default: all eight)")
     p.add_argument("--evals-per-dim", dest="evals_per_dim",
-                   type=_positive_int, default=5000,
+                   type=int, default=5000,
                    help="budget = this x dim (default 5000)")
     _add_config_flags(p, skip=("algo", "problem", "dim", "budget", "label"))
     p.set_defaults(fn=_cmd_suite)
 
     p = sub.add_parser("wine", help="network regression: evolved vs backprop")
-    p.add_argument("--pop", type=_positive_int, default=30)
-    p.add_argument("--budget", type=_positive_int, default=3000,
+    p.add_argument("--pop", type=int, default=30)
+    p.add_argument("--budget", type=int, default=3000,
                    help="fitness evaluations (and backprop epochs)")
-    p.add_argument("--lr", type=_nonneg_float, default=1.0,
+    p.add_argument("--lr", type=float, default=1.0,
                    help="outer learning rate of the evolved arm")
-    p.add_argument("--adam-lr", dest="adam_lr", type=_nonneg_float,
+    p.add_argument("--adam-lr", dest="adam_lr", type=float,
                    default=0.001, help="backprop arm learning rate")
-    p.add_argument("--sigma0", type=_nonneg_float, default=0.1,
+    p.add_argument("--sigma0", type=float, default=0.1,
                    help="evolved arm initial step size")
     _add_config_flags(p, skip=("algo", "problem", "dim", "pop", "budget",
                                "label", "lr", "sigma0"))
     p.set_defaults(fn=_cmd_wine, runs_default=10)
 
     p = sub.add_parser("scale", help="high-dimensional Michalewicz study")
-    p.add_argument("--dim", type=_positive_int, default=100)
-    p.add_argument("--pop", type=_positive_int, default=100)
-    p.add_argument("--budget", type=_positive_int, default=100000)
+    p.add_argument("--dim", type=int, default=100)
+    p.add_argument("--pop", type=int, default=100)
+    p.add_argument("--budget", type=int, default=100000)
     _add_config_flags(p, skip=("algo", "problem", "dim", "pop", "budget"))
     p.set_defaults(fn=_cmd_scale)
 

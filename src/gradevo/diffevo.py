@@ -32,16 +32,11 @@ import numpy as np
 from .classic import BoxPenalty, cholesky_with_jitter, cma_constants
 from .problems import Problem
 from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
-from .tape import Tape, Var
+from .tape import Tape, Var, _sigmoid
 
 
 def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
-
-
-def _sigmoid(x):
-    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 @dataclass

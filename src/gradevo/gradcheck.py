@@ -99,8 +99,8 @@ def _away_from(rng, shape, lo, hi, avoid=(), margin=0.05):
 
 
 def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
-    """FD-verify every differentiable op; oracle-verify detach and
-    straight-through, whose defined gradients differ from plain FD."""
+    """FD-verify every differentiable op; oracle-verify straight-through,
+    whose defined gradient differs from plain FD."""
     rng = Rng(seed)
     results: list[CheckResult] = []
 
@@ -133,11 +133,6 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
             weighted(t, getattr(t, name)(a.raw, s.raw)), t)
 
     t = Tape()
-    a = t.param("a", _away_from(rng, (2, 3), -2, 2))
-    b = t.param("b", _away_from(rng, (2, 3), -3, 3, avoid=(0.0,), margin=0.3))
-    run("div", lambda: weighted(t, t.div(a.raw, b.raw)), t)
-
-    t = Tape()
     a = t.param("a", _away_from(rng, (2, 3), 0.2, 2.0))
     b = t.param("b", _away_from(rng, (2, 3), -1.5, 1.5))
     run("pow", lambda: weighted(t, t.pow(a.raw, b.raw)), t)
@@ -149,29 +144,18 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     a = t.param("a", _away_from(rng, (2, 3), -2, 2))
     run("powc:int", lambda: weighted(t, t.powc(a.raw, 3.0)), t)
 
-    for name in ("minimum", "maximum"):
-        t = Tape()
-        av = _away_from(rng, (2, 3), -2, 2)
-        bv = av + np.where(rng.uniform(2, 3) > 0.5, 0.5, -0.5)  # no near-ties
-        a = t.param("a", av)
-        b = t.param("b", bv)
-        run(name, lambda t=t, a=a, b=b, name=name:
-            weighted(t, getattr(t, name)(a.raw, b.raw)), t)
-
     # --- unary elementwise
-    for name, lo, hi, avoid in (
-        ("neg", -2, 2, ()),
-        ("exp", -2, 2, ()),
-        ("log", 0.3, 3.0, ()),
-        ("sqrt", 0.3, 3.0, ()),
-        ("sin", -2, 2, ()),
-        ("cos", -2, 2, ()),
-        ("tanh", -2, 2, ()),
-        ("sigmoid", -3, 3, ()),
-        ("abs", -2, 2, (0.0,)),
+    for name, lo, hi in (
+        ("neg", -2, 2),
+        ("exp", -2, 2),
+        ("sqrt", 0.3, 3.0),
+        ("sin", -2, 2),
+        ("cos", -2, 2),
+        ("tanh", -2, 2),
+        ("sigmoid", -3, 3),
     ):
         t = Tape()
-        a = t.param("a", _away_from(rng, (2, 3), lo, hi, avoid=avoid, margin=0.2))
+        a = t.param("a", _away_from(rng, (2, 3), lo, hi))
         run(name, lambda t=t, a=a, name=name:
             weighted(t, getattr(t, name)(a.raw)), t)
 
@@ -181,12 +165,10 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
         a = t.param("a", _away_from(rng, (3, 4), -2, 2))
         run(name, lambda t=t, a=a, name=name: getattr(t, name)(a.raw), t)
 
-    for name in ("min_with_index", "max_with_index"):
-        t = Tape()
-        vals = np.linspace(-2, 2, 12).reshape(3, 4)
-        a = t.param("a", vals + 0.01 * rng.normal(3, 4))
-        run(name, lambda t=t, a=a, name=name:
-            getattr(t, name)(a.raw)[0], t)
+    t = Tape()
+    vals = np.linspace(-2, 2, 12).reshape(3, 4)
+    a = t.param("a", vals + 0.01 * rng.normal(3, 4))
+    run("min_with_index", lambda: t.min_with_index(a.raw)[0], t)
 
     t = Tape()
     a = t.param("a", _away_from(rng, (3, 4), -2, 2))
@@ -203,24 +185,8 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     run("matmul", lambda: weighted(t, t.matmul(a.raw, b.raw)), t)
 
     t = Tape()
-    a = t.param("a", _away_from(rng, (3, 3), -2, 2))
-    x = t.param("x", _away_from(rng, (3, 1), -2, 2))
-    run("matvec", lambda: weighted(t, t.matvec(a.raw, x.raw)), t)
-
-    t = Tape()
     a = t.param("a", _away_from(rng, (2, 4), -2, 2))
     run("transpose", lambda: weighted(t, t.transpose(a.raw)), t)
-
-    t = Tape()
-    a = t.param("a", _away_from(rng, (3, 1), -2, 2))
-    b = t.param("b", _away_from(rng, (4, 1), -2, 2))
-    run("outer", lambda: weighted(t, t.outer(a.raw, b.raw)), t)
-
-    t = Tape()
-    L = t.param("L", _away_from(rng, (3, 3), -2, 2))
-    z = t.param("z", _away_from(rng, (3, 1), -2, 2))
-    run("lower_tri_matvec",
-        lambda: weighted(t, t.lower_tri_matvec(L.raw, z.raw)), t)
 
     # --- shape ops
     t = Tape()
@@ -257,13 +223,6 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     av = _away_from(rng, (3, 4), -2, 2, avoid=(-1.0, 1.0), margin=0.2)
     a = t.param("a", av)
     run("clamp", lambda: weighted(t, t.clamp(a.raw, -1.0, 1.0)), t)
-
-    # --- detach: gradient of x * detach(x) must be detach's value, not 2x
-    t = Tape()
-    a = t.param("a", [[3.0]])
-    loss = t.mul(a.raw, t.detach(a.raw))
-    t.backward(loss)
-    results.append(CheckResult("op:detach", abs(a.raw.grad[0, 0] - 3.0)))
 
     # --- straight-through: analytic grad of the ST graph vs FD of the soft
     t = Tape()

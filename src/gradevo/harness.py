@@ -16,7 +16,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,44 +43,64 @@ CLASSIC_ALGORITHMS = {
 ALGO_NAMES = tuple(CLASSIC_ALGORITHMS) + tuple(DIFF_ALGORITHMS) + ("adam",)
 
 
+PROBLEM_NAMES = benchmark_names() + ("wine",)
+
+
+def _flag(default, help=None, choices=None):
+    """A config field whose metadata also describes its command-line flag."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment needs, flat so it pickles to workers."""
+    """Everything one experiment needs, flat so it pickles to workers.
 
-    algo: str = "cmaes-diff"
-    problem: str = "sphere"
-    dim: int = 30
-    pop: int = 100
-    budget: int = 150000
-    runs: int = 5
-    seed: int = 0
-    lr: float = 0.01
-    loss: str = "best"
-    tau: float = 1.0
-    sigma0: float = 0.0          # 0 means the algorithm's default
-    variant: str = "rand1"
+    Every field is also a command-line flag: ``--`` plus the field name
+    with ``_`` written as ``-``, typed by ``_coerce``, with the ``help`` and
+    ``choices`` from the field metadata.
+    """
+
+    algo: str = _flag(
+        "cmaes-diff", "algorithm (classical name or <name>-diff)", ALGO_NAMES)
+    problem: str = _flag("sphere", choices=PROBLEM_NAMES)
+    dim: int = _flag(30, "problem dimensionality")
+    pop: int = _flag(100, "population size")
+    budget: int = _flag(150000, "total fitness evaluations per run")
+    runs: int = _flag(5, "independent seeded runs")
+    seed: int = _flag(0, "base seed; run i uses seed+i")
+    lr: float = _flag(
+        0.01, "outer Adam learning rate (0 freezes the hyperparameters)")
+    loss: str = _flag(
+        "best", "generation loss: best candidate or population mean",
+        ("best", "mean"))
+    tau: float = _flag(1.0, "relaxation temperature")
+    sigma0: float = _flag(0.0, "initial CMA-ES step size (0 = default)")
+    variant: str = _flag("rand1", "DE mutation variant", ("rand1", "best1"))
     elitism: bool = True
-    hard_masks: bool = True
-    hard_selection: bool = False
-    patience: int = 100
+    hard_masks: bool = _flag(
+        True, "straight-through masks instead of soft blends")
+    hard_selection: bool = _flag(
+        False, "straight-through parent selection instead of soft mixtures")
+    patience: int = _flag(100, "plateau generations before the lr halves")
     lr_factor: float = 0.5
     min_lr: float = 1e-5
-    lo: float = -100.0
-    hi: float = 100.0
-    wine_data: str = ""          # empty -> bundled synthetic table
-    out_dir: str = ""            # empty -> $GRADEVO_OUTDIR or cwd
-    workers: int = 1
-    label: str = ""
+    lo: float = _flag(-100.0, "box lower bound")
+    hi: float = _flag(100.0, "box upper bound")
+    wine_data: str = _flag(
+        "", "path to the semicolon-separated wine table "
+            "(default: a bundled synthetic stand-in)")
+    out_dir: str = _flag("", "output root (default: $GRADEVO_OUTDIR or cwd)")
+    workers: int = _flag(1, "parallel worker processes")
+    label: str = _flag("", "experiment directory name")
 
     def __post_init__(self):
         if self.algo not in ALGO_NAMES:
             raise ValueError(
                 f"unknown algorithm {self.algo!r}; choose from {ALGO_NAMES}"
             )
-        known = benchmark_names() + ("wine",)
-        if self.problem not in known:
+        if self.problem not in PROBLEM_NAMES:
             raise ValueError(
-                f"unknown problem {self.problem!r}; choose from {known}"
+                f"unknown problem {self.problem!r}; choose from {PROBLEM_NAMES}"
             )
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
@@ -96,10 +116,20 @@ class ExperimentConfig:
             raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        if self.sigma0 < 0.0:
+            raise ValueError(f"sigma0 must be >= 0, got {self.sigma0}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.min_lr < 0.0:
+            raise ValueError(f"min_lr must be >= 0, got {self.min_lr}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.loss not in ("best", "mean"):
             raise ValueError(f"loss must be 'best' or 'mean', got {self.loss!r}")
+        if self.variant not in ("rand1", "best1"):
+            raise ValueError(
+                f"variant must be 'rand1' or 'best1', got {self.variant!r}"
+            )
         if self.algo == "adam" and self.problem != "wine":
             raise ValueError("the adam arm only applies to the wine problem")
 

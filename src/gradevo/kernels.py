@@ -1,56 +1,37 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels: benchmark batch evaluation and classical operators.
 
-Every kernel exists twice: a plain numpy implementation and a numba
-``@njit`` twin compiled from an explicit loop. The active backend is picked
-once at import time from the ``GRADEVO_BACKEND`` environment variable
-("numba" or "numpy"; default is numba when importable, numpy otherwise).
-
-Kernels are pure functions of arrays. No random draws happen in here, so
-switching backends can only change floating-point summation order, never
-the stochastic trajectory of an algorithm.
+Kernels are pure numpy functions of arrays; no random draws happen in
+here. Callers look them up through this module at call time, so wrappers
+installed on the module (timing spans, for instance) see every call.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from types import SimpleNamespace
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return deco
+# the only backend; recorded by the benchmark environment report
+BACKEND = "numpy"
 
 
 # ---------------------------------------------------------------------------
-# benchmark batch evaluation, numpy versions
+# benchmark batch evaluation, (n, d) -> (n,)
 # ---------------------------------------------------------------------------
 
 
-def _sphere_np(X):
+def sphere_batch(X):
     return np.sum(X * X, axis=1)
 
 
-def _ackley_np(X):
+def ackley_batch(X):
     d = X.shape[1]
     s1 = np.sum(X * X, axis=1) / d
     s2 = np.sum(np.cos(2.0 * np.pi * X), axis=1) / d
     return -20.0 * np.exp(-0.2 * np.sqrt(s1)) - np.exp(s2) + 20.0 + math.e
 
 
-def _griewank_np(X):
+def griewank_batch(X):
     d = X.shape[1]
     idx = np.sqrt(np.arange(1.0, d + 1.0))
     s = np.sum(X * X, axis=1) / 4000.0
@@ -58,13 +39,13 @@ def _griewank_np(X):
     return s - p + 1.0
 
 
-def _rosenbrock_np(X):
+def rosenbrock_batch(X):
     a = X[:, :-1]
     b = X[:, 1:]
     return np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2, axis=1)
 
 
-def _michalewicz_np(X):
+def michalewicz_batch(X):
     d = X.shape[1]
     idx = np.arange(1.0, d + 1.0)
     inner = np.sin(idx * X * X / np.pi)
@@ -72,89 +53,11 @@ def _michalewicz_np(X):
 
 
 # ---------------------------------------------------------------------------
-# benchmark batch evaluation, numba loop versions
+# classical operator kernels
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _sphere_nb(X):
-    n, d = X.shape
-    out = np.empty(n)
-    for i in range(n):
-        s = 0.0
-        for j in range(d):
-            s += X[i, j] * X[i, j]
-        out[i] = s
-    return out
-
-
-@njit(cache=True)
-def _ackley_nb(X):
-    n, d = X.shape
-    out = np.empty(n)
-    two_pi = 2.0 * np.pi
-    for i in range(n):
-        s1 = 0.0
-        s2 = 0.0
-        for j in range(d):
-            s1 += X[i, j] * X[i, j]
-            s2 += math.cos(two_pi * X[i, j])
-        out[i] = (
-            -20.0 * math.exp(-0.2 * math.sqrt(s1 / d))
-            - math.exp(s2 / d)
-            + 20.0
-            + math.e
-        )
-    return out
-
-
-@njit(cache=True)
-def _griewank_nb(X):
-    n, d = X.shape
-    out = np.empty(n)
-    for i in range(n):
-        s = 0.0
-        p = 1.0
-        for j in range(d):
-            s += X[i, j] * X[i, j]
-            p *= math.cos(X[i, j] / math.sqrt(j + 1.0))
-        out[i] = s / 4000.0 - p + 1.0
-    return out
-
-
-@njit(cache=True)
-def _rosenbrock_nb(X):
-    n, d = X.shape
-    out = np.empty(n)
-    for i in range(n):
-        s = 0.0
-        for j in range(d - 1):
-            t1 = X[i, j + 1] - X[i, j] * X[i, j]
-            t2 = 1.0 - X[i, j]
-            s += 100.0 * t1 * t1 + t2 * t2
-        out[i] = s
-    return out
-
-
-@njit(cache=True)
-def _michalewicz_nb(X):
-    n, d = X.shape
-    out = np.empty(n)
-    for i in range(n):
-        s = 0.0
-        for j in range(d):
-            inner = math.sin((j + 1.0) * X[i, j] * X[i, j] / np.pi)
-            s += math.sin(X[i, j]) * inner**20
-        out[i] = -s
-    return out
-
-
-# ---------------------------------------------------------------------------
-# classical operator kernels, numpy versions
-# ---------------------------------------------------------------------------
-
-
-def _sbx_children_np(p1, p2, u, eta):
+def sbx_children(p1, p2, u, eta):
     e = 1.0 / (eta + 1.0)
     beta = np.where(u < 0.5, (2.0 * u) ** e, (1.0 / (2.0 * (1.0 - u))) ** e)
     c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
@@ -162,7 +65,7 @@ def _sbx_children_np(p1, p2, u, eta):
     return c1, c2
 
 
-def _poly_mutation_np(x, u, gate, eta, lo, hi):
+def poly_mutation(x, u, gate, eta, lo, hi):
     e = 1.0 / (eta + 1.0)
     delta = np.where(
         u < 0.5, (2.0 * u) ** e - 1.0, 1.0 - (2.0 * (1.0 - u)) ** e
@@ -171,204 +74,15 @@ def _poly_mutation_np(x, u, gate, eta, lo, hi):
     return np.clip(out, lo, hi)
 
 
-def _de_trial_np(pop, donor, tau, jrand, cr, lo, hi):
+def de_trial(pop, donor, tau, jrand, cr, lo, hi):
     n, d = pop.shape
     take = tau < cr
     take[np.arange(n), jrand] = True
     return np.clip(np.where(take, donor, pop), lo, hi)
 
 
-def _pso_step_np(x, v, pbest, gbest, r1, r2, omega, c1, c2, vmax, lo, hi):
+def pso_step(x, v, pbest, gbest, r1, r2, omega, c1, c2, vmax, lo, hi):
     vn = omega * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
     vn = np.clip(vn, -vmax, vmax)
     xn = np.clip(x + vn, lo, hi)
     return xn, vn
-
-
-# ---------------------------------------------------------------------------
-# classical operator kernels, numba loop versions
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _sbx_children_nb(p1, p2, u, eta):
-    m, d = p1.shape
-    c1 = np.empty((m, d))
-    c2 = np.empty((m, d))
-    e = 1.0 / (eta + 1.0)
-    for i in range(m):
-        for j in range(d):
-            uij = u[i, j]
-            if uij < 0.5:
-                beta = (2.0 * uij) ** e
-            else:
-                beta = (1.0 / (2.0 * (1.0 - uij))) ** e
-            a = p1[i, j]
-            b = p2[i, j]
-            c1[i, j] = 0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)
-            c2[i, j] = 0.5 * ((1.0 - beta) * a + (1.0 + beta) * b)
-    return c1, c2
-
-
-@njit(cache=True)
-def _poly_mutation_nb(x, u, gate, eta, lo, hi):
-    m, d = x.shape
-    out = np.empty((m, d))
-    e = 1.0 / (eta + 1.0)
-    for i in range(m):
-        for j in range(d):
-            if gate[i, j]:
-                uij = u[i, j]
-                if uij < 0.5:
-                    delta = (2.0 * uij) ** e - 1.0
-                else:
-                    delta = 1.0 - (2.0 * (1.0 - uij)) ** e
-                val = x[i, j] + delta * (hi[j] - lo[j])
-            else:
-                val = x[i, j]
-            if val < lo[j]:
-                val = lo[j]
-            elif val > hi[j]:
-                val = hi[j]
-            out[i, j] = val
-    return out
-
-
-@njit(cache=True)
-def _de_trial_nb(pop, donor, tau, jrand, cr, lo, hi):
-    n, d = pop.shape
-    out = np.empty((n, d))
-    for i in range(n):
-        for j in range(d):
-            if tau[i, j] < cr or j == jrand[i]:
-                val = donor[i, j]
-            else:
-                val = pop[i, j]
-            if val < lo[j]:
-                val = lo[j]
-            elif val > hi[j]:
-                val = hi[j]
-            out[i, j] = val
-    return out
-
-
-@njit(cache=True)
-def _pso_step_nb(x, v, pbest, gbest, r1, r2, omega, c1, c2, vmax, lo, hi):
-    n, d = x.shape
-    xn = np.empty((n, d))
-    vn = np.empty((n, d))
-    for i in range(n):
-        for j in range(d):
-            vel = (
-                omega * v[i, j]
-                + c1 * r1[i, j] * (pbest[i, j] - x[i, j])
-                + c2 * r2[i, j] * (gbest[j] - x[i, j])
-            )
-            if vel > vmax[j]:
-                vel = vmax[j]
-            elif vel < -vmax[j]:
-                vel = -vmax[j]
-            pos = x[i, j] + vel
-            if pos < lo[j]:
-                pos = lo[j]
-            elif pos > hi[j]:
-                pos = hi[j]
-            vn[i, j] = vel
-            xn[i, j] = pos
-    return xn, vn
-
-
-_KERNEL_NAMES = (
-    "sphere_batch",
-    "ackley_batch",
-    "griewank_batch",
-    "rosenbrock_batch",
-    "michalewicz_batch",
-    "sbx_children",
-    "poly_mutation",
-    "de_trial",
-    "pso_step",
-)
-
-_NUMPY_IMPLS = {
-    "sphere_batch": _sphere_np,
-    "ackley_batch": _ackley_np,
-    "griewank_batch": _griewank_np,
-    "rosenbrock_batch": _rosenbrock_np,
-    "michalewicz_batch": _michalewicz_np,
-    "sbx_children": _sbx_children_np,
-    "poly_mutation": _poly_mutation_np,
-    "de_trial": _de_trial_np,
-    "pso_step": _pso_step_np,
-}
-
-_NUMBA_IMPLS = {
-    "sphere_batch": _sphere_nb,
-    "ackley_batch": _ackley_nb,
-    "griewank_batch": _griewank_nb,
-    "rosenbrock_batch": _rosenbrock_nb,
-    "michalewicz_batch": _michalewicz_nb,
-    "sbx_children": _sbx_children_nb,
-    "poly_mutation": _poly_mutation_nb,
-    "de_trial": _de_trial_nb,
-    "pso_step": _pso_step_nb,
-}
-
-
-def get_kernels(backend: str) -> SimpleNamespace:
-    """Return the kernel set for an explicit backend name.
-
-    Used by the backend benchmark and the equivalence tests; normal code goes
-    through the module-level functions picked at import.
-    """
-    if backend == "numpy":
-        return SimpleNamespace(**_NUMPY_IMPLS)
-    if backend == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return SimpleNamespace(**_NUMBA_IMPLS)
-    raise ValueError(f"unknown backend {backend!r}, expected 'numba' or 'numpy'")
-
-
-def _pick_backend() -> str:
-    env = os.environ.get("GRADEVO_BACKEND", "").strip().lower()
-    if env in ("numba", "numpy"):
-        if env == "numba" and not HAS_NUMBA:
-            raise RuntimeError(
-                "GRADEVO_BACKEND=numba but numba is not importable"
-            )
-        return env
-    if env:
-        raise ValueError(
-            f"GRADEVO_BACKEND={env!r} not understood, expected 'numba' or 'numpy'"
-        )
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-
-def set_backend(backend: str) -> None:
-    """Rebind the module-level kernels to an explicit backend.
-
-    Callers resolve kernels through module attributes, so this takes
-    effect immediately; mainly for benchmarks and tests.
-    """
-    impls = get_kernels(backend)
-    g = globals()
-    for key in _NUMPY_IMPLS:
-        g[key] = getattr(impls, key)
-    g["BACKEND"] = backend
-
-
-_active = _NUMBA_IMPLS if BACKEND == "numba" else _NUMPY_IMPLS
-
-sphere_batch = _active["sphere_batch"]
-ackley_batch = _active["ackley_batch"]
-griewank_batch = _active["griewank_batch"]
-rosenbrock_batch = _active["rosenbrock_batch"]
-michalewicz_batch = _active["michalewicz_batch"]
-sbx_children = _active["sbx_children"]
-poly_mutation = _active["poly_mutation"]
-de_trial = _active["de_trial"]
-pso_step = _active["pso_step"]

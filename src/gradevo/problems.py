@@ -1,10 +1,9 @@
-"""Benchmark objectives with three evaluation paths.
+"""Benchmark objectives with two evaluation paths.
 
 Each problem evaluates (a) a raw (n, d) array batch for the classical
-algorithms, (b) an on-tape (n, d) Var batch for the differentiable
-algorithms, and (c) a single on-tape point. Every call bumps ``n_evals`` by
-the number of individuals evaluated, which is what the budget loop and the
-CSV records count.
+algorithms and (b) an on-tape (n, d) Var batch for the differentiable
+algorithms. Every call bumps ``n_evals`` by the number of individuals
+evaluated, which is what the budget loop and the CSV records count.
 
 All four benchmark functions share one search domain, the box
 [-100, 100]^d, including Michalewicz.
@@ -83,15 +82,6 @@ class Problem:
         self.n_evals += X.rows
         return self._eval_pop(tape, X)
 
-    def eval_one(self, tape: Tape, x: Var) -> Var:
-        """On-tape single point -> scalar Var."""
-        if x.shape == (self.dim, 1) and self.dim != 1:
-            x = tape.transpose(x)
-        if x.shape != (1, self.dim):
-            raise ValueError(f"{self.name}: expected a single point, got {x.shape}")
-        self.n_evals += 1
-        return self._eval_pop(tape, x)
-
     def reset_evals(self) -> None:
         self.n_evals = 0
 
@@ -160,8 +150,8 @@ def _michalewicz_pop(tape: Tape, X: Var) -> Var:
     return tape.neg(tape.row_sum(terms))
 
 
-# array kernels resolve through the module at call time so a backend
-# switch (benchmarks, tests) applies to problems built earlier too
+# array kernels resolve through the module at call time so wrappers
+# installed on the module are seen by problems built earlier too
 _BENCHMARKS = {
     "sphere": ("sphere_batch", _sphere_pop),
     "ackley": ("ackley_batch", _ackley_pop),

@@ -1,8 +1,9 @@
 """Reparameterized stochastic building blocks.
 
-Three samplers cover every random operator in the differentiable algorithms:
+Two samplers cover the discrete random operators in the differentiable
+algorithms (the CMA-ES Gaussian sample, mean + sigma * L z, is written
+inline in ``DiffCmaes``):
 
-* ``pathwise_gaussian``: location-scale normals, x = mean + scale * z.
 * ``gumbel_sigmoid``: Binary-Concrete relaxation of a Bernoulli gate,
   soft = sigmoid((log u - log(1 - u) + alpha) / tau), optionally followed by
   a straight-through hard threshold at 0.5 so P(hard = 1) = sigmoid(alpha)
@@ -12,8 +13,8 @@ Three samplers cover every random operator in the differentiable algorithms:
   one-hot at the argmax.
 
 Noise enters as plain constants, so gradients flow only through the
-distribution parameters (the pathwise estimator). Every sampler accepts the
-uniform/normal draws explicitly, which is what frozen-noise gradient checks
+distribution parameters (the pathwise estimator). Both samplers accept the
+uniform draws explicitly, which is what frozen-noise gradient checks
 and the classical-equivalence tests rely on.
 """
 
@@ -87,37 +88,6 @@ class RelaxConfig:
 def logistic_noise(u: np.ndarray) -> np.ndarray:
     """log u - log(1 - u): a standard logistic sample from a uniform one."""
     return np.log(u) - np.log1p(-u)
-
-
-def pathwise_gaussian(tape: Tape, mean: Var, scale: Var, rng: Rng = None,
-                      z: np.ndarray = None) -> Var:
-    """Sample mean + scale * z with z ~ N(0, I) entering as a constant.
-
-    ``scale`` may be a (1, 1) scalar, an array matching ``mean`` elementwise,
-    or an (n, n) matrix against an (n, 1) mean, in which case the sample is
-    mean + tril(scale) @ z. Elementwise scales must be non-negative.
-    """
-    matrix_form = (
-        scale.rows == scale.cols
-        and scale.rows > 1
-        and mean.shape == (scale.rows, 1)
-    )
-    if not matrix_form:
-        if scale.shape != mean.shape and scale.shape != (1, 1):
-            raise ValueError(
-                f"scale shape {scale.shape} incompatible with mean {mean.shape}"
-            )
-        if np.any(scale.value < 0.0):
-            raise ValueError("elementwise scale must be non-negative")
-    if z is None:
-        if rng is None:
-            raise ValueError("need either rng or explicit z")
-        zr = mean.rows if not matrix_form else scale.rows
-        z = rng.normal(zr, 1 if matrix_form else mean.cols)
-    zc = tape.constant(z)
-    if matrix_form:
-        return tape.add(mean, tape.lower_tri_matvec(scale, zc))
-    return tape.add(mean, tape.mul(scale, zc))
 
 
 def _broadcast_logits(tape: Tape, noise_c: Var, alpha: Var, inv_tau: float) -> Var:

@@ -41,6 +41,12 @@ def _is_scalar(a: Array) -> bool:
     return a.shape == (1, 1)
 
 
+def _sigmoid(x):
+    # stable two-branch logistic
+    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
 def _reduce_to(g: Array, shape) -> Array:
     # collapse a broadcast gradient back onto a (1, 1) scalar parent
     if g.shape == shape:
@@ -106,12 +112,6 @@ class Var:
 
     def __rmul__(self, other):
         return self.tape.mul(self._coerce(other), self)
-
-    def __truediv__(self, other):
-        return self.tape.div(self, self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return self.tape.div(self._coerce(other), self)
 
     def __neg__(self):
         return self.tape.neg(self)
@@ -195,9 +195,6 @@ class Tape:
         self.params.append(p)
         return p
 
-    def size(self) -> int:
-        return len(self.nodes)
-
     # ------------------------------------------------------------------
     # elementwise binary ops (exact shapes, or one side a (1,1) scalar)
     # ------------------------------------------------------------------
@@ -235,20 +232,6 @@ class Tape:
 
         return self._record("mul", av * bv, (a, b), vjp)
 
-    def div(self, a: Var, b: Var) -> Var:
-        self._check_binary(a, b, "div")
-        if np.any(b.value == 0.0):
-            raise ValueError("div: divisor contains an exact zero")
-        av, bv = a.value, b.value
-
-        def vjp(g):
-            return (
-                _reduce_to(g / bv, av.shape),
-                _reduce_to(-g * av / (bv * bv), bv.shape),
-            )
-
-        return self._record("div", av / bv, (a, b), vjp)
-
     def pow(self, a: Var, b: Var) -> Var:
         """a ** b with a Var exponent. Requires base >= 0.
 
@@ -281,32 +264,6 @@ class Tape:
 
         return self._record("powc", out, (a,), vjp)
 
-    def minimum(self, a: Var, b: Var) -> Var:
-        self._check_binary(a, b, "minimum")
-        av, bv = a.value, b.value
-        take_a = av <= bv  # a wins ties
-
-        def vjp(g):
-            return (
-                _reduce_to(g * take_a, av.shape),
-                _reduce_to(g * ~take_a, bv.shape),
-            )
-
-        return self._record("minimum", np.minimum(av, bv), (a, b), vjp)
-
-    def maximum(self, a: Var, b: Var) -> Var:
-        self._check_binary(a, b, "maximum")
-        av, bv = a.value, b.value
-        take_a = av >= bv
-
-        def vjp(g):
-            return (
-                _reduce_to(g * take_a, av.shape),
-                _reduce_to(g * ~take_a, bv.shape),
-            )
-
-        return self._record("maximum", np.maximum(av, bv), (a, b), vjp)
-
     # ------------------------------------------------------------------
     # elementwise unary ops
     # ------------------------------------------------------------------
@@ -317,12 +274,6 @@ class Tape:
     def exp(self, a: Var) -> Var:
         out = np.exp(a.value)
         return self._record("exp", out, (a,), lambda g: (g * out,))
-
-    def log(self, a: Var) -> Var:
-        if np.any(a.value <= 0.0):
-            raise ValueError("log: argument must be strictly positive")
-        av = a.value
-        return self._record("log", np.log(av), (a,), lambda g: (g / av,))
 
     def sqrt(self, a: Var) -> Var:
         if np.any(a.value < 0.0):
@@ -343,17 +294,10 @@ class Tape:
         return self._record("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
     def sigmoid(self, a: Var) -> Var:
-        av = a.value
-        # stable two-branch logistic
-        out = np.where(av >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(av))),
-                       np.exp(-np.abs(av)) / (1.0 + np.exp(-np.abs(av))))
+        out = _sigmoid(a.value)
         return self._record(
             "sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),)
         )
-
-    def abs(self, a: Var) -> Var:
-        av = a.value
-        return self._record("abs", np.abs(av), (a,), lambda g: (g * np.sign(av),))
 
     # ------------------------------------------------------------------
     # reductions
@@ -392,20 +336,6 @@ class Tape:
 
         out = self._record(
             "min_with_index", np.array([[a.value.flat[idx]]]), (a,), vjp
-        )
-        return out, idx
-
-    def max_with_index(self, a: Var) -> tuple[Var, int]:
-        idx = int(np.argmax(a.value))
-        shape = a.shape
-
-        def vjp(g):
-            z = np.zeros(shape)
-            z.flat[idx] = g[0, 0]
-            return (z,)
-
-        out = self._record(
-            "max_with_index", np.array([[a.value.flat[idx]]]), (a,), vjp
         )
         return out, idx
 
@@ -449,40 +379,8 @@ class Tape:
 
         return self._record("matmul", av @ bv, (a, b), vjp)
 
-    def matvec(self, a: Var, x: Var) -> Var:
-        if x.cols != 1:
-            raise ValueError(f"matvec: x must be a column vector, got {x.shape}")
-        return self.matmul(a, x)
-
     def transpose(self, a: Var) -> Var:
         return self._record("transpose", a.value.T.copy(), (a,), lambda g: (g.T,))
-
-    def outer(self, a: Var, b: Var) -> Var:
-        if a.cols != 1 or b.cols != 1:
-            raise ValueError("outer: both arguments must be column vectors")
-        av, bv = a.value, b.value
-
-        def vjp(g):
-            return g @ bv, g.T @ av
-
-        return self._record("outer", av @ bv.T, (a, b), vjp)
-
-    def lower_tri_matvec(self, L: Var, z: Var) -> Var:
-        """tril(L) @ z. Entries on or below the diagonal participate; the
-        gradient to strictly upper entries is exactly zero."""
-        if L.rows != L.cols:
-            raise ValueError(f"lower_tri_matvec: L must be square, got {L.shape}")
-        if z.shape != (L.rows, 1):
-            raise ValueError(
-                f"lower_tri_matvec: z must be ({L.rows}, 1), got {z.shape}"
-            )
-        Lv = np.tril(L.value)
-        zv = z.value
-
-        def vjp(g):
-            return np.tril(g @ zv.T), Lv.T @ g
-
-        return self._record("lower_tri_matvec", Lv @ zv, (L, z), vjp)
 
     # ------------------------------------------------------------------
     # shape / selection ops
@@ -588,9 +486,6 @@ class Tape:
 
         return self._record("clamp", np.clip(av, lov, hiv), (a,), vjp)
 
-    def detach(self, a: Var) -> Var:
-        return self._record("detach", a.value.copy())
-
     def straight_through(self, hard, soft: Var) -> Var:
         """Forward the hard values, backpropagate as if they were ``soft``."""
         hv = hard.value if isinstance(hard, Var) else _as2d(hard)
@@ -659,26 +554,3 @@ class Tape:
             p.raw._parents = ()
             fresh.append(p.raw)
         self.nodes = fresh
-
-
-# ----------------------------------------------------------------------
-# composite helpers built from primitive ops
-# ----------------------------------------------------------------------
-
-
-def softmax_rows(tape: Tape, s: Var) -> Var:
-    """Row-wise softmax. Subtracts a detached per-row max before exp; the
-    shift is a constant so gradients are those of the exact softmax."""
-    shift = tape.constant(s.value.max(axis=1, keepdims=True) * np.ones((1, s.cols)))
-    e = tape.exp(tape.sub(s, shift))
-    denom = tape.row_sum(e)
-    inv = tape.powc(denom, -1.0)
-    return tape.mul_colvec(e, inv)
-
-
-def softmax_col(tape: Tape, s: Var) -> Var:
-    """Softmax over a (n, 1) column vector."""
-    if s.cols != 1:
-        raise ValueError(f"softmax_col expects a column, got {s.shape}")
-    t = tape.transpose(s)
-    return tape.transpose(softmax_rows(tape, t))

@@ -84,6 +84,21 @@ def test_polynomial_mutation_respects_box():
     assert out[0, 0] <= 100.0
 
 
+def test_de_trial_jrand_coordinate_always_from_donor():
+    n, d = 6, 5
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(n, d))
+    donors = X + 1.0
+    tau = np.ones((n, d))  # cr = 0 would keep every parent coordinate
+    jrand = rng.integers(0, d, size=n).astype(np.int64)
+    lo, hi = np.full(d, -100.0), np.full(d, 100.0)
+    trial = kernels.de_trial(X, donors, tau, jrand, 0.0, lo, hi)
+    np.testing.assert_allclose(trial[np.arange(n), jrand], donors[np.arange(n), jrand])
+    off = trial.copy()
+    off[np.arange(n), jrand] = X[np.arange(n), jrand]
+    np.testing.assert_allclose(off, X)
+
+
 def test_tournament_full_size_returns_best():
     fit = np.array([4.0, 1.0, 3.0, 2.0])
     for seed in range(10):

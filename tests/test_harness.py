@@ -1,5 +1,7 @@
 """Experiment harness, summary statistics, SVG emitters, and the CLI."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ def test_config_validation():
         ExperimentConfig(algo="adam", problem="sphere")
     with pytest.raises(ValueError, match="loss"):
         ExperimentConfig(loss="median")
+    with pytest.raises(ValueError, match="variant"):
+        ExperimentConfig(variant="best2")
+    with pytest.raises(ValueError, match="sigma0"):
+        ExperimentConfig(sigma0=-0.5)
+    with pytest.raises(ValueError, match="patience"):
+        ExperimentConfig(patience=0)
+    with pytest.raises(ValueError, match="min_lr"):
+        ExperimentConfig(min_lr=-1e-3)
 
 
 def test_resolved_label_forms():
@@ -240,6 +250,23 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "pso-sphere-d2").exists()    # flag beat the file
     capsys.readouterr()
+
+
+def test_cli_config_file_gets_the_same_range_checks(tmp_path):
+    # a negative step size would run classical CMA-ES with sigma < 0
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text(f"algo = cmaes\nsigma0 = -1\nout_dir = {tmp_path}\n")
+    args = cli.build_parser().parse_args(["run", "--config", str(cfgfile)])
+    with pytest.raises(ValueError, match="sigma0"):
+        cli._make_config(args)
+
+
+def test_cli_flag_per_config_field_parses_its_default():
+    parser = cli.build_parser()
+    for f in fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        args = parser.parse_args(["run", flag, str(f.default)])
+        assert cli._make_config(args) == ExperimentConfig(), flag
 
 
 def test_cli_rejects_unknown_algorithm():

@@ -91,14 +91,6 @@ def test_eval_counter_counts_rows():
     assert p.n_evals == 0
 
 
-def test_eval_one_matches_eval_array():
-    p = make_problem("ackley", 6)
-    x = np.full((1, 6), 1.5)
-    t = Tape()
-    got = p.eval_one(t, t.constant(x)).item()
-    np.testing.assert_allclose(got, p.eval_array(x)[0], rtol=1e-12)
-
-
 def test_domain_sample_clip_contains():
     dom = BoxDomain.cube(3, -2.0, 5.0)
     X = dom.sample(Rng(0), 100)

@@ -3,64 +3,10 @@
 import numpy as np
 import pytest
 
-from gradevo.relax import (
-    Rng,
-    gumbel_sigmoid,
-    gumbel_softmax,
-    logistic_noise,
-    pathwise_gaussian,
-)
+from gradevo.relax import Rng, gumbel_sigmoid, gumbel_softmax, logistic_noise
 from gradevo.tape import Tape
 
 N_MC = 100_000
-
-
-def test_pathwise_gaussian_scale_zero_returns_mean():
-    t = Tape()
-    mean = t.constant([[1.5, -2.0]])
-    scale = t.constant([[0.0, 0.0]])
-    y = pathwise_gaussian(t, mean, scale, rng=Rng(0))
-    np.testing.assert_array_equal(y.value, mean.value)
-
-
-def test_pathwise_gaussian_sample_mean_within_3_sigma():
-    # mean 0, scale 1: |sample mean| < 3 / sqrt(n) with probability 99.7%
-    t = Tape()
-    mean = t.constant(np.zeros((1, N_MC)))
-    scale = t.constant(np.ones((1, N_MC)))
-    y = pathwise_gaussian(t, mean, scale, rng=Rng(7))
-    m = float(y.value.mean())
-    assert abs(m) < 3.0 / np.sqrt(N_MC)
-    s = float(y.value.std())
-    # var of sample std is approx 1/(2n)
-    assert abs(s - 1.0) < 3.0 / np.sqrt(2 * N_MC)
-
-
-def test_pathwise_gaussian_rejects_negative_scale():
-    t = Tape()
-    with pytest.raises(ValueError):
-        pathwise_gaussian(t, t.constant([[0.0]]), t.constant([[-1.0]]), rng=Rng(0))
-
-
-def test_pathwise_gaussian_gradient_with_frozen_noise():
-    # y = mu + s z with z frozen: dy/dmu = 1, dy/ds = z
-    t = Tape()
-    z = np.array([[0.37, -1.42]])
-    pm = t.param("mu", [[0.0, 0.0]])
-    ps = t.param("s", [[1.0, 2.0]])
-    y = pathwise_gaussian(t, pm.raw, ps.raw, z=z)
-    t.backward(t.sum(y))
-    np.testing.assert_array_equal(pm.raw.grad, [[1.0, 1.0]])
-    np.testing.assert_array_equal(ps.raw.grad, z)
-
-
-def test_pathwise_gaussian_matrix_form_matches_tril_product():
-    t = Tape()
-    L = np.array([[2.0, 0.0], [0.5, 1.0]])
-    z = np.array([[0.3], [-0.8]])
-    mean = t.constant([[1.0], [2.0]])
-    y = pathwise_gaussian(t, mean, t.constant(L), z=z)
-    np.testing.assert_allclose(y.value, mean.value + np.tril(L) @ z, rtol=1e-14)
 
 
 def test_gumbel_sigmoid_hard_rate_matches_sigmoid_alpha():
