@@ -14,7 +14,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
-    ALGO_NAMES,
+    CLASSIC_ALGORITHMS,
+    DIFF_ALGORITHMS,
     ExperimentConfig,
     _coerce,
     load_experiment,
@@ -25,6 +26,10 @@ from .plots import emit_boxplot_svg, emit_convergence_svg
 
 GRID_PROBLEMS = ("ackley", "michalewicz", "rosenbrock", "griewank")
 GRID_DIMS = (30, 50)
+GRID_ALGOS = tuple(CLASSIC_ALGORITHMS) + tuple(DIFF_ALGORITHMS)
+
+# the evolved wine arm's own defaults; explicit flags override them
+WINE_EVOLVED = dict(pop=30, lr=1.0, sigma0=0.1, loss="mean", patience=10)
 
 
 def _flag_type(name: str):
@@ -75,9 +80,8 @@ def _cmd_run(args) -> int:
 def _cmd_suite(args) -> int:
     problems = args.problems.split(",") if args.problems else list(GRID_PROBLEMS)
     dims = [int(d) for d in args.dims.split(",")] if args.dims else list(GRID_DIMS)
-    algos = args.algos.split(",") if args.algos else list(ALGO_NAMES[:-1])
+    algos = args.algos.split(",") if args.algos else list(GRID_ALGOS)
     base = _cli_overrides(args)
-    base.pop("label", None)
     failures = 0
     for problem in problems:
         for dim in dims:
@@ -102,20 +106,10 @@ def _cmd_suite(args) -> int:
 
 def _cmd_wine(args) -> int:
     base = _cli_overrides(args)
-    for key in ("algo", "problem", "dim", "pop", "budget", "label", "lr"):
-        base.pop(key, None)
-    evo = dict(base)
-    evo.update(
-        algo="cmaes-diff", problem="wine", pop=args.pop, budget=args.budget,
-        lr=args.lr, sigma0=args.sigma0, label="cmaes-diff-wine",
-    )
-    evo.setdefault("loss", "mean")
-    evo.setdefault("patience", 10)
-    adam = dict(base)
-    adam.update(
-        algo="adam", problem="wine", pop=1, budget=args.budget,
-        lr=args.adam_lr, label="adam-wine",
-    )
+    evo = {**WINE_EVOLVED, **base, "algo": "cmaes-diff", "problem": "wine",
+           "label": "cmaes-diff-wine"}
+    adam = {**base, "algo": "adam", "problem": "wine", "pop": 1,
+            "lr": args.adam_lr, "label": "adam-wine"}
     # both configs are checked before either arm runs
     evo_cfg, adam_cfg = ExperimentConfig(**evo), ExperimentConfig(**adam)
     evo_stats, _ = run_experiment(evo_cfg)
@@ -131,11 +125,8 @@ def _cmd_wine(args) -> int:
 
 def _cmd_scale(args) -> int:
     base = _cli_overrides(args)
-    base.pop("label", None)
     for algo in ("cmaes", "cmaes-diff"):
-        vals = dict(base)
-        vals.update(algo=algo, problem="michalewicz", dim=args.dim,
-                    pop=args.pop, budget=args.budget)
+        vals = dict(base, algo=algo, problem="michalewicz")
         if algo == "cmaes-diff":
             # start the gradient arm interior: a box-wide initial step puts
             # most samples outside the box, where selection and gradients
@@ -207,25 +198,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_suite)
 
     p = sub.add_parser("wine", help="network regression: evolved vs backprop")
-    p.add_argument("--pop", type=int, default=30)
-    p.add_argument("--budget", type=int, default=3000,
-                   help="fitness evaluations (and backprop epochs)")
-    p.add_argument("--lr", type=float, default=1.0,
-                   help="outer learning rate of the evolved arm")
     p.add_argument("--adam-lr", dest="adam_lr", type=float,
                    default=0.001, help="backprop arm learning rate")
-    p.add_argument("--sigma0", type=float, default=0.1,
-                   help="evolved arm initial step size")
-    _add_config_flags(p, skip=("algo", "problem", "dim", "pop", "budget",
-                               "label", "lr", "sigma0"))
-    p.set_defaults(fn=_cmd_wine, runs_default=10)
+    # --pop, --lr, --sigma0, --loss and --patience set the evolved arm; the
+    # backprop arm is a population of one whose lr is --adam-lr, and each of
+    # its epochs counts as one evaluation of --budget
+    _add_config_flags(p, skip=("algo", "problem", "dim", "label"))
+    p.set_defaults(fn=_cmd_wine, budget=3000, runs=10)
 
     p = sub.add_parser("scale", help="high-dimensional Michalewicz study")
-    p.add_argument("--dim", type=int, default=100)
-    p.add_argument("--pop", type=int, default=100)
-    p.add_argument("--budget", type=int, default=100000)
-    _add_config_flags(p, skip=("algo", "problem", "dim", "pop", "budget"))
-    p.set_defaults(fn=_cmd_scale)
+    _add_config_flags(p, skip=("algo", "problem", "label"))
+    p.set_defaults(fn=_cmd_scale, dim=100, budget=100000)
 
     p = sub.add_parser("plot", help="render SVGs from experiment directories")
     p.add_argument("dirs", nargs="+", help="experiment output directories")
@@ -246,10 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "runs", None) is None and hasattr(args, "runs"):
-        default_runs = getattr(args, "runs_default", None)
-        if default_runs is not None:
-            args.runs = default_runs
     try:
         return args.fn(args)
     except (ValueError, FileNotFoundError, RuntimeError) as exc:

@@ -178,7 +178,6 @@ class DiffPso(DiffAlgorithm):
         x_new = t.clamp(t.add(X, v_new), dom.lower, dom.upper)
         fit = self.problem.eval_pop(t, x_new)
         self._staged = {
-            "x": x_new,
             "x_values": x_new.value.copy(),
             "v_values": v_new.value.copy(),
             "fit": fit.value.ravel().copy(),
@@ -325,7 +324,6 @@ class DiffGa(DiffAlgorithm):
 
         fit = self.problem.eval_pop(t, cand)
         self._staged = {
-            "x": cand,
             "x_values": cand.value.copy(),
             "fit": fit.value.ravel().copy(),
         }
@@ -444,10 +442,8 @@ class DiffDe(DiffAlgorithm):
         new_x = t.straight_through(t.constant(hard_rows), trial)
 
         self._staged = {
-            "x": new_x,
             "x_values": new_x.value.copy(),
             "trial_values": trial.value.copy(),
-            "tfit": tfit.value.ravel().copy(),
             "win": win,
             "fit": tfit.value.ravel().copy(),
         }
@@ -457,8 +453,8 @@ class DiffDe(DiffAlgorithm):
         st = self._need_staged()
         dom = self.problem.domain
         committed = dom.clip(st["x_values"] + self._delta(optimizer, "X", st["x_values"]))
-        fit = np.where(st["win"], st["tfit"], self.fit)
-        self._track_best(st["trial_values"], st["tfit"])
+        fit = np.where(st["win"], st["fit"], self.fit)
+        self._track_best(st["trial_values"], st["fit"])
         if self.cfg.elitism:
             w = int(np.argmax(fit))
             committed[w] = self.best_x

@@ -1,16 +1,17 @@
 """Experiment orchestration: configs, seeded runs, CSV and figure output.
 
 An experiment is `runs` independent seeded optimizations of one algorithm
-on one problem. Each run writes a per-generation CSV, the experiment
-writes one summary CSV and a timing log (wall time stays out of the CSVs
-so identical seeds give byte-identical data files). Per-run seed is
-base seed + run index, so scheduling order cannot change results.
+on one problem. Every arm, the wine backprop baseline included, takes one
+path: ``build_algo`` makes the algorithm and ``run_single`` drives it
+through ``outer.run_loop``. Each run writes a per-generation CSV, the
+experiment writes one summary CSV and a timing log (wall time stays out of
+the CSVs so identical seeds give byte-identical data files). Per-run seed
+is base seed + run index, so scheduling order cannot change results.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import os
 import sys
 import tempfile
@@ -24,11 +25,13 @@ import numpy as np
 from .classic import ClassicCmaes, ClassicDe, ClassicGa, ClassicPso
 from .diffevo import ALGORITHMS as DIFF_ALGORITHMS
 from .diffevo import DiffConfig
-from .outer import Adam, PlateauScheduler, RunRecord, run_loop
+from .outer import Adam, PlateauScheduler, run_loop
 from .plots import SummaryStats, summary_stats
 from .problems import Problem, benchmark_names, make_problem
 from .relax import RelaxConfig, Rng
-from .wine import MlpSpec, WineProblem, mlp_forward, mse_loss, write_synthetic_wine
+from .wine import Backprop, WineProblem, write_synthetic_wine
+# importable from here by name: perfbench/spans.py wraps harness.mlp_forward
+from .wine import mlp_forward  # noqa: F401
 
 ENV_OUTDIR = "GRADEVO_OUTDIR"
 
@@ -38,8 +41,8 @@ CLASSIC_ALGORITHMS = {
     "de": ClassicDe,
     "cmaes": ClassicCmaes,
 }
-# "adam" trains the wine network by plain backprop; it is the baseline arm
-# of the regression comparison, not an evolutionary algorithm.
+# "adam" (wine.Backprop) trains the wine network by plain backprop; it is
+# the baseline arm of the regression comparison, not an evolutionary one.
 ALGO_NAMES = tuple(CLASSIC_ALGORITHMS) + tuple(DIFF_ALGORITHMS) + ("adam",)
 
 
@@ -200,6 +203,8 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
 
 def build_algo(cfg: ExperimentConfig, problem: Problem, seed: int):
     rng = Rng(seed)
+    if cfg.algo == "adam":
+        return Backprop(problem, rng)
     if cfg.algo == "pso":
         return ClassicPso(problem, cfg.pop, rng)
     if cfg.algo == "ga":
@@ -222,53 +227,14 @@ def build_algo(cfg: ExperimentConfig, problem: Problem, seed: int):
     return cls(problem, cfg.pop, rng, dc)
 
 
-def _run_adam(cfg: ExperimentConfig, problem: WineProblem, seed: int,
-              run_idx: int):
-    """Backprop baseline: full-batch Adam on the wine network.
-
-    One epoch = one gradient step on the whole table; epochs play the role
-    of fitness evaluations in the records so the arms share a budget axis.
-    """
-    from .tape import Tape
-
-    rng = Rng(seed)
-    tape = Tape()
-    theta = tape.param("theta", problem.domain.sample(rng, 1))
-    opt = Adam(tape.params, lr=cfg.lr)
-    spec: MlpSpec = problem.spec
-    targets = problem.targets.reshape(-1, 1)
-    records: list[RunRecord] = []
-    best = math.inf
-    try:
-        for epoch in range(cfg.budget):
-            tape.zero_grad()
-            feats = tape.constant(problem.features)
-            targ = tape.constant(targets)
-            pred = mlp_forward(tape, theta.read(), feats, spec)
-            loss = mse_loss(tape, pred, targ)
-            tape.backward(loss)
-            opt.step()
-            best = min(best, float(loss.value[0, 0]))
-            records.append(
-                RunRecord(run_idx, epoch, epoch + 1, best, opt.lr, {})
-            )
-            tape.reset()
-    except Exception as exc:
-        return records, f"{type(exc).__name__}: {exc}"
-    return records, None
-
-
 def run_single(cfg: ExperimentConfig, run_idx: int):
     """One seeded run; module-level so process pools can import it."""
-    seed = cfg.seed + run_idx
     problem = build_problem(cfg)
-    if cfg.algo == "adam":
-        records, err = _run_adam(cfg, problem, seed, run_idx)
-        return run_idx, records, err
-    algo = build_algo(cfg, problem, seed)
+    algo = build_algo(cfg, problem, cfg.seed + run_idx)
     opt = sched = None
-    if cfg.algo in DIFF_ALGORITHMS:
+    if hasattr(algo, "tape"):
         opt = Adam(algo.tape.params, lr=cfg.lr)
+    if cfg.algo in DIFF_ALGORITHMS:
         sched = PlateauScheduler(opt, patience=cfg.patience,
                                  factor=cfg.lr_factor, min_lr=cfg.min_lr)
     records, err = run_loop(algo, problem, cfg.budget, opt, sched, run=run_idx)

@@ -1,5 +1,6 @@
 """Outer optimisation loop: Adam over tape params, LR plateau scheduling,
-and the generation loop shared by classical and differentiable runs.
+and the generation loop shared by every run: classical, differentiable and
+the wine backprop baseline.
 
 One outer iteration is one inner generation: build the generation graph,
 backpropagate the generation loss, step every trainable slot with Adam,
@@ -125,10 +126,10 @@ def run_loop(algo, problem, max_evals: int, optimizer: Adam = None,
     """Drive ``algo`` for ceil(max_evals / pop_size) generations.
 
     Works for both classical algorithms (plain ``generation()`` calls) and
-    differentiable ones (zero_grad / backward / step / commit / reset per
-    generation). Returns (records, error): on an exception the records
-    collected so far come back along with a short failure marker, otherwise
-    error is None.
+    on-tape ones, the differentiable algorithms and the wine backprop arm
+    (zero_grad / backward / step / commit / reset per generation). Returns
+    (records, error): on an exception the records collected so far come
+    back along with a short failure marker, otherwise error is None.
     """
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals}")

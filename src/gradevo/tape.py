@@ -126,38 +126,11 @@ class Var:
 
 
 class Param:
-    """A named trainable leaf, optionally read through a positivity transform.
+    """A named trainable leaf; ``raw`` is its on-tape Var."""
 
-    ``transform`` is "identity" or "exp". ``read()`` returns the transformed
-    on-tape Var ready to use in a graph; ``value()`` returns the transformed
-    values as a plain array.
-    """
-
-    def __init__(self, tape, name: str, raw: Var, transform: str = "identity"):
-        if transform not in ("identity", "exp"):
-            raise ValueError(f"unknown transform {transform!r}")
-        self.tape = tape
+    def __init__(self, name: str, raw: Var):
         self.name = name
         self.raw = raw
-        self.transform = transform
-
-    def read(self) -> Var:
-        if self.transform == "exp":
-            return self.tape.exp(self.raw)
-        return self.raw
-
-    def value(self) -> Array:
-        if self.transform == "exp":
-            return np.exp(self.raw.value)
-        return self.raw.value.copy()
-
-    def set(self, values) -> None:
-        a = _as2d(values)
-        if a.shape != self.raw.value.shape:
-            raise ValueError(
-                f"param {self.name!r} has shape {self.raw.value.shape}, got {a.shape}"
-            )
-        self.raw.value = a.copy()
 
 
 class Tape:
@@ -187,11 +160,11 @@ class Tape:
     def constant(self, values) -> Var:
         return self._record("const", _as2d(values).copy())
 
-    def param(self, name: str, values, transform: str = "identity") -> Param:
+    def param(self, name: str, values) -> Param:
         if any(p.name == name for p in self.params):
             raise ValueError(f"duplicate param name {name!r}")
         raw = self._record("param", _as2d(values).copy(), trainable=True)
-        p = Param(self, name, raw, transform)
+        p = Param(name, raw)
         self.params.append(p)
         return p
 

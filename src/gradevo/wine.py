@@ -13,11 +13,15 @@ of the first layer deep into saturation, the regime the experiment probes.
 header row). ``write_synthetic_wine`` generates a fixed, seed-pinned table in
 the same format with realistic feature scales for offline runs; pass a real
 winequality-red.csv to ``load_wine`` and everything downstream is unchanged.
+
+``Backprop`` is the study's baseline arm: plain full-batch backprop on the
+same network, driven by the same generation loop as the evolved arms.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -249,3 +253,35 @@ class WineProblem(Problem):
         if len(losses) == 1:
             return losses[0]
         return tape.concat_scalars(losses)
+
+
+class Backprop:
+    """The backprop baseline as a population of one.
+
+    The network weights are the single tape param ``theta``, drawn uniform
+    in the box. One generation is one full-batch epoch: ``generation()``
+    returns the MSE of ``theta`` on the tape and the caller backpropagates
+    it and steps Adam. An epoch counts as one evaluation, so both arms of
+    the study share the budget axis.
+    """
+
+    name = "adam"
+    pop_size = 1
+
+    def __init__(self, problem: WineProblem, rng):
+        self.problem = problem
+        self.tape = Tape()
+        self.theta = self.tape.param("theta", problem.domain.sample(rng, 1))
+        self.best_fitness = math.inf
+        self._loss = math.inf
+
+    def generation(self) -> Var:
+        loss = self.problem.eval_pop(self.tape, self.theta.raw)
+        self._loss = float(loss.value[0, 0])
+        return loss
+
+    def update_state(self, optimizer=None) -> None:
+        self.best_fitness = min(self.best_fitness, self._loss)
+
+    def hyperparams(self) -> dict:
+        return {}

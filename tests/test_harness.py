@@ -1,6 +1,6 @@
 """Experiment harness, summary statistics, SVG emitters, and the CLI."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -267,6 +267,47 @@ def test_cli_flag_per_config_field_parses_its_default():
         flag = "--" + f.name.replace("_", "-")
         args = parser.parse_args(["run", flag, str(f.default)])
         assert cli._make_config(args) == ExperimentConfig(), flag
+
+
+def test_study_commands_build_the_acceptance_configs(monkeypatch, capsys):
+    # the arms of acceptance criteria 5, 6 and 7, restated literally
+    built = []
+
+    def record(cfg, quiet=False):
+        built.append(replace(cfg, out_dir=""))
+        return summary_stats([0.0]), None
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+
+    def study(*argv):
+        built.clear()
+        assert cli.main(list(argv)) == 0
+        return built
+
+    assert study("wine") == [
+        ExperimentConfig(
+            algo="cmaes-diff", problem="wine", pop=30, budget=3000, runs=10,
+            lr=1.0, sigma0=0.1, loss="mean", patience=10,
+            label="cmaes-diff-wine"),
+        ExperimentConfig(
+            algo="adam", problem="wine", pop=1, budget=3000, runs=10,
+            lr=0.001, label="adam-wine"),
+    ]
+    common = dict(problem="michalewicz", dim=100, pop=100, budget=100_000,
+                  runs=5)
+    assert study("scale") == [
+        ExperimentConfig(algo="cmaes", **common),
+        ExperimentConfig(algo="cmaes-diff", sigma0=1.0, **common),
+    ]
+    assert study("suite", "--problems", "ackley,griewank", "--dims", "30",
+                 "--algos", "cmaes-diff,ga,de") == [
+        ExperimentConfig(
+            algo=algo, problem=problem, dim=30, pop=100, budget=150_000,
+            runs=5, sigma0=1.0 if algo == "cmaes-diff" else 0.0)
+        for problem in ("ackley", "griewank")
+        for algo in ("cmaes-diff", "ga", "de")
+    ]
+    capsys.readouterr()
 
 
 def test_cli_rejects_unknown_algorithm():

@@ -172,22 +172,6 @@ def test_reset_keeps_params_and_drops_graph():
     np.testing.assert_array_equal(grad_of(t, p), [[1.0, 1.0]])
 
 
-def test_param_set_validates_shape():
-    t = Tape()
-    p = t.param("x", [[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        p.set(np.zeros((2, 2)))
-
-
-def test_exp_transform_param_reads_positive():
-    t = Tape()
-    p = t.param("s", [[0.0]], transform="exp")
-    assert p.read().value[0, 0] == 1.0
-    assert p.value()[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        t.param("bad", [[0.0]], transform="softplus")
-
-
 def test_item_rejects_nonscalar():
     t = Tape()
     with pytest.raises(ValueError):

@@ -1,9 +1,9 @@
-"""Wine table loading, the tiny MLP and its MSE objective."""
+"""Wine table loading, the tiny MLP, its MSE objective and the backprop arm."""
 
 import numpy as np
 import pytest
 
-from gradevo.harness import synthetic_wine_path
+from gradevo.harness import ExperimentConfig, run_single, synthetic_wine_path
 from gradevo.tape import Tape
 from gradevo.wine import (
     MlpSpec,
@@ -173,3 +173,26 @@ def test_wine_problem_input_validation():
         WineProblem(np.zeros((4, 10)), np.zeros(4))
     with pytest.raises(ValueError):
         WineProblem(np.zeros((4, 11)), np.zeros(5))
+
+
+def test_backprop_arm_runs_through_run_single():
+    cfg = ExperimentConfig(algo="adam", problem="wine", pop=1, budget=6,
+                           runs=1, lr=0.001)
+    _, records, err = run_single(cfg, 0)
+    assert err is None
+    assert [r.n_evals for r in records] == [1, 2, 3, 4, 5, 6]
+    assert all(r.hyper == {} for r in records)
+    best = [r.best_fitness for r in records]
+    assert all(b <= a for a, b in zip(best, best[1:]))
+
+
+def test_backprop_arm_has_no_lr_scheduler():
+    # with patience 1 a plateau scheduler would halve the lr at the first
+    # epoch that does not improve; a large lr makes such epochs happen
+    cfg = ExperimentConfig(algo="adam", problem="wine", pop=1, budget=6,
+                           runs=1, lr=1.0, patience=1)
+    _, records, err = run_single(cfg, 0)
+    assert err is None
+    best = [r.best_fitness for r in records]
+    assert any(b == a for a, b in zip(best, best[1:]))
+    assert all(r.lr == 1.0 for r in records)
