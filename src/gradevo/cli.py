@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     # --pop, --lr, --sigma0, --loss and --patience set the evolved arm; the
     # backprop arm is a population of one whose lr is --adam-lr, and each of
     # its epochs counts as one evaluation of --budget
-    _add_config_flags(p, skip=("algo", "problem", "dim", "label"))
+    _add_config_flags(p, skip=("algo", "problem", "dim", "lo", "hi", "label"))
     p.set_defaults(fn=_cmd_wine, budget=3000, runs=10)
 
     p = sub.add_parser("scale", help="high-dimensional Michalewicz study")

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtpqrt
 
 from .classic import BoxPenalty, cholesky_with_jitter, cma_constants
 from .problems import Problem
@@ -480,11 +481,19 @@ class DiffCmaes(DiffAlgorithm):
     recombination weights over standardized penalized fitness give the
     candidate mean (committed as candidate plus the mean's own
     displacement), the evolution paths advance with a logistic-smoothed
-    stall gate instead of the binary one, the covariance rebuilt from the
-    stepped factor receives the rank-one and rank-mu terms, cumulative
-    step-size adaptation multiplies the stepped sigma, and the refactored
-    covariance is written back into the trainable factor slot. The best
+    stall gate instead of the binary one, the covariance of the stepped
+    factor receives the rank-one and rank-mu terms, cumulative step-size
+    adaptation multiplies the stepped sigma, and the Cholesky factor of the
+    new covariance is written back into the trainable factor slot. The best
     point tracked is a clamped one with its unpenalised fitness.
+
+    The new covariance is a L Lᵀ + U Uᵀ, with L the stepped lower triangle,
+    a > 0, and U holding the lambda + 1 rank-one and rank-mu columns. When
+    lambda + 1 < d its factor comes from a QR of [sqrt(a) Lᵀ; Uᵀ] (Igel,
+    Suttorp & Hansen, GECCO 2006), O(lambda d²) without forming C; otherwise
+    C is rebuilt as L Lᵀ, combined and refactored by
+    ``cholesky_with_jitter``, which is cheaper when U has as many columns as
+    C. Either path raises RuntimeError when the factor is not finite.
     """
 
     name = "cmaes-diff"
@@ -604,16 +613,33 @@ class DiffCmaes(DiffAlgorithm):
         ) * (delta_mu / sigma_prev)
 
         L_stepped = np.tril(self.p_L.raw.value)
-        C = L_stepped @ L_stepped.T
         Y = (X - mu_prev) / sigma_prev
-        rank_mu = Y.T @ (w[:, None] * Y)
         delta_h = (1.0 - h_sig) * cc * (2.0 - cc)
-        C_new = (
-            (1.0 - k.c_1 - k.c_mu) * C
-            + k.c_1 * (np.outer(self.p_c, self.p_c) + delta_h * C)
-            + k.c_mu * rank_mu
-        )
-        C_new = 0.5 * (C_new + C_new.T)
+        if self.pop_size + 1 < d:
+            # the R of a QR of [sqrt(a) Lᵀ; Uᵀ] has RᵀR = a L Lᵀ + U Uᵀ = C_new
+            a =1.0 - k.c_1 - k.c_mu + k.c_1 * delta_h
+            Ut = np.vstack([math.sqrt(k.c_1) * self.p_c,
+                            np.sqrt(k.c_mu * w)[:, None] * Y])
+            R, _, _, info = dtpqrt(0, min(32, d), (math.sqrt(a) * L_stepped).T,
+                                   Ut, overwrite_a=1, overwrite_b=1)
+            if info != 0:
+                raise RuntimeError(f"covariance factor update failed: info {info}")
+            L_new = R.T * np.where(np.diag(R) < 0.0, -1.0, 1.0)
+            mean_diag_c = float(np.vdot(L_new, L_new)) / d
+        else:
+            C = L_stepped @ L_stepped.T
+            rank_mu = Y.T @ (w[:, None] * Y)
+            C_new = (
+                (1.0 - k.c_1 - k.c_mu) * C
+                + k.c_1 * (np.outer(self.p_c, self.p_c) + delta_h * C)
+                + k.c_mu * rank_mu
+            )
+            C_new = 0.5 * (C_new + C_new.T)
+            L_new = cholesky_with_jitter(C_new)
+            mean_diag_c = float(np.trace(C_new)) / d
+        # neither factorization rejects a NaN input
+        if not np.all(np.isfinite(np.diag(L_new))):
+            raise RuntimeError("covariance factor has a non-finite diagonal")
 
         sigma_stepped = float(np.exp(self.p_log_sigma.raw.value[0, 0]))
         # bound the CSA multiplier: one generation must not change sigma by
@@ -622,8 +648,8 @@ class DiffCmaes(DiffAlgorithm):
         sigma_new = sigma_stepped * math.exp(csa_log)
         sigma_new = max(sigma_new, 1e-300)
         self.p_log_sigma.raw.value = np.array([[math.log(sigma_new)]])
-        self.p_L.raw.value = cholesky_with_jitter(C_new)
-        self.mean_diag_c = float(np.trace(C_new)) / d
+        self.p_L.raw.value = L_new
+        self.mean_diag_c = mean_diag_c
 
         self._track_best(st["x_values"], st["fit"])
         self._staged = None

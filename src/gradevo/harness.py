@@ -135,6 +135,14 @@ class ExperimentConfig:
             )
         if self.algo == "adam" and self.problem != "wine":
             raise ValueError("the adam arm only applies to the wine problem")
+        if self.problem == "wine":
+            # the network fixes the wine problem's size and weight box
+            for f in fields(self):
+                value = getattr(self, f.name)
+                if f.name in ("dim", "lo", "hi") and value != f.default:
+                    raise ValueError(
+                        f"{f.name} does not apply to the wine problem, got {value}"
+                    )
 
     def resolved_label(self) -> str:
         if self.label:

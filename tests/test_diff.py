@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gradevo import diffevo
 from gradevo.classic import ClassicDe, ClassicPso
 from gradevo.diffevo import DiffCmaes, DiffConfig, DiffDe, DiffGa, DiffPso
 from gradevo.outer import Adam, run_loop
@@ -269,3 +270,87 @@ def test_cmaes_penalty_gradient_points_into_box():
     assert np.all(grad > 1.0)       # a descent step lowers every coordinate
     # bookkeeping keeps the unpenalised value of the clamped point
     assert algo.current_best() == 30_000.0
+
+
+# --- CMA-ES factor commit ------------------------------------------------------
+
+def _cmaes_generations(d, pop, n_gens, on_commit=None):
+    """Run n_gens lr-1.0 generations of DiffCmaes on sphere-d; on_commit sees
+    the algorithm, tril of the stepped factor and the staged values after
+    each commit."""
+    prob = make_problem("sphere", d)
+    algo = DiffCmaes(prob, pop_size=pop, rng=Rng(0))
+    opt = Adam(algo.parameters(), lr=1.0)
+    for _ in range(n_gens):
+        algo.tape.zero_grad()
+        loss = algo.generation()
+        algo.tape.backward(loss)
+        opt.step()
+        L_stepped = np.tril(algo.p_L.raw.value)
+        st = dict(algo._staged)
+        algo.update_state(opt)
+        algo.tape.reset()
+        if on_commit is not None:
+            on_commit(algo, L_stepped, st)
+    return algo
+
+
+def _commit_target(algo, L_stepped, st):
+    """a L_s L_sᵀ + U Uᵀ assembled densely from the committed paths."""
+    k, d = algo.k, algo.problem.dim
+    fit = st["sel_fit"]
+    s = -(fit - fit.mean()) / fit.std() / algo.cfg.relax.tau
+    w = np.exp(s - s.max())
+    w /= w.sum()
+    norm = np.linalg.norm(algo.p_sigma)
+    denom = math.sqrt(1.0 - (1.0 - k.c_sigma) ** (2 * algo.gen_count))
+    thresh = (1.4 + 2.0 / (d + 1.0)) * k.chi_n
+    h_sig = 1.0 / (1.0 + math.exp(-10.0 * (thresh - norm / denom) / k.chi_n))
+    a = 1.0 - k.c_1 - k.c_mu + k.c_1 * (1.0 - h_sig) * k.c_c * (2.0 - k.c_c)
+    Y = (st["x_raw"] - st["mu_prev"]) / st["sigma_prev"]
+    U = np.column_stack([math.sqrt(k.c_1) * algo.p_c,
+                         (np.sqrt(k.c_mu * w)[:, None] * Y).T])
+    return a * L_stepped @ L_stepped.T + U @ U.T
+
+
+def test_cmaes_factor_update_matches_dense_covariance():
+    # pop + 1 < d: the factor is updated by QR without forming C
+    d = 40
+    residuals = []
+
+    def check(algo, L_stepped, st):
+        L = algo.p_L.raw.value
+        assert L.flags.c_contiguous
+        assert np.all(np.triu(L, 1) == 0.0)
+        assert np.all(np.diag(L) > 0.0)
+        target = _commit_target(algo, L_stepped, st)
+        residuals.append(np.linalg.norm(L @ L.T - target) / np.linalg.norm(target))
+        np.testing.assert_allclose(algo.mean_diag_c, np.trace(L @ L.T) / d,
+                                   rtol=1e-14, atol=0.0)
+
+    _cmaes_generations(d, 6, 3, check)
+    assert len(residuals) == 3 and max(residuals) <= 1e-14, residuals
+
+
+@pytest.mark.parametrize("d, calls", [(40, 0), (5, 3)])
+def test_cmaes_refactors_covariance_only_when_pop_reaches_dim(
+        monkeypatch, d, calls):
+    seen = []
+    factor = diffevo.cholesky_with_jitter
+
+    def counted(C):
+        seen.append(C.shape)
+        return factor(C)
+
+    monkeypatch.setattr(diffevo, "cholesky_with_jitter", counted)
+    _cmaes_generations(d, 6, 3)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("d", [40, 5])
+def test_cmaes_non_finite_draw_fails_the_commit(d):
+    algo = DiffCmaes(make_problem("sphere", d), pop_size=6, rng=Rng(0))
+    algo.generation()
+    algo._staged["x_raw"][2, 1] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite"):
+        algo.update_state()

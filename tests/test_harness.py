@@ -310,6 +310,22 @@ def test_study_commands_build_the_acceptance_configs(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_wine_rejects_the_size_and_box_it_ignores(tmp_path, capsys):
+    # the network fixes the wine problem's 1665 weights and [-10, 10] box
+    for key, value in (("dim", 5), ("lo", -1.0), ("hi", 1.0)):
+        with pytest.raises(ValueError, match=f"^{key} does not apply"):
+            ExperimentConfig(algo="cmaes-diff", problem="wine", **{key: value})
+    rc = cli.main(["run", "--problem", "wine", "--lo", "-1", "--hi", "1",
+                   "--pop", "1", "--budget", "1", "--runs", "1",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "lo does not apply" in capsys.readouterr().err
+    for flag in ("--dim", "--lo", "--hi"):
+        with pytest.raises(SystemExit):
+            cli.main(["wine", flag, "1"])
+    capsys.readouterr()
+
+
 def test_cli_rejects_unknown_algorithm():
     with pytest.raises(SystemExit):
         cli.main(["run", "--algo", "annealing"])
