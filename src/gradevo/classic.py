@@ -70,22 +70,30 @@ def tournament_select(fit: np.ndarray, rng: Rng, k: int) -> int:
     return int(order[np.argmin(fit[order])])
 
 
+def _finite_factor(L: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(np.diag(L))):
+        raise RuntimeError("covariance factor has a non-finite diagonal")
+    return L
+
+
 def cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with escalating diagonal jitter.
 
     Starts at 1e-12 * trace(C)/d and multiplies by 10 for up to 6 retries
-    before giving up with a diagnostic error.
+    before giving up with a diagnostic error. A factor whose diagonal is not
+    finite raises RuntimeError: the LAPACK Cholesky returns NaN rows for a
+    NaN input instead of failing.
     """
     d = C.shape[0]
     try:
-        return np.linalg.cholesky(C)
+        return _finite_factor(np.linalg.cholesky(C))
     except np.linalg.LinAlgError:
         pass
     jitter = 1e-12 * max(np.trace(C), 1e-300) / d
     eye = np.eye(d)
     for _ in range(6):
         try:
-            return np.linalg.cholesky(C + jitter * eye)
+            return _finite_factor(np.linalg.cholesky(C + jitter * eye))
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise RuntimeError(

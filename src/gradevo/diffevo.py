@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dtpqrt
 from .classic import BoxPenalty, cholesky_with_jitter, cma_constants
 from .problems import Problem
 from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
-from .tape import Tape, Var, _sigmoid
+from .tape import Tape, Var, _sigmoid, tril_index, unpack_lower
 
 
 def _logit(p: float) -> float:
@@ -469,12 +469,16 @@ class DiffCmaes(DiffAlgorithm):
     """CMA-ES whose mean, log step size and Cholesky factor take gradient
     steps on top of the classical update.
 
-    The generation samples x_i = mu + sigma * tril(L) z_i on the tape and
-    evaluates f at clamp(x_i). The box follows the rule of ``BoxPenalty``:
+    The factor slot ``"L"`` holds only the lower triangle of L, packed row
+    by row into a (1, d(d+1)/2) row (``tape.tril_index`` order), so Adam
+    steps only the entries that can move; ``factor()`` unpacks it. The
+    generation samples x_i = mu + sigma * L z_i on the tape, with L
+    scattered from the packed row by ``Tape.lower_tri``, and evaluates f at
+    clamp(x_i). The box follows the rule of ``BoxPenalty``:
     selection and the loss see f(clamp x) + sum_j gamma_j (x_j - clamp(x)_j)^2,
     with gamma_j = boost_j * IQR(f) / (sigma^2 * mean(diag C)) held constant
     on the tape, so the loss differentiates with respect to mu, log(sigma)
-    and the lower triangle of L through the penalty wherever the clamp
+    and the packed entries of L through the penalty wherever the clamp
     passes no gradient.
     After the optimizer has stepped those slots, the commit performs the
     classical machinery at detached values of the unclamped draws: softmax
@@ -484,10 +488,10 @@ class DiffCmaes(DiffAlgorithm):
     stall gate instead of the binary one, the covariance of the stepped
     factor receives the rank-one and rank-mu terms, cumulative step-size
     adaptation multiplies the stepped sigma, and the Cholesky factor of the
-    new covariance is written back into the trainable factor slot. The best
+    new covariance is packed back into the trainable factor slot. The best
     point tracked is a clamped one with its unpenalised fitness.
 
-    The new covariance is a L Lᵀ + U Uᵀ, with L the stepped lower triangle,
+    The new covariance is a L Lᵀ + U Uᵀ, with L the stepped factor,
     a > 0, and U holding the lambda + 1 rank-one and rank-mu columns. When
     lambda + 1 < d its factor comes from a QR of [sqrt(a) Lᵀ; Uᵀ] (Igel,
     Suttorp & Hansen, GECCO 2006), O(lambda d²) without forming C; otherwise
@@ -511,9 +515,9 @@ class DiffCmaes(DiffAlgorithm):
         sigma = float(sigma0) if sigma0 else 0.3 * float(dom.width.max())
         self.p_mu = self.tape.param("mu", mean)
         self.p_log_sigma = self.tape.param("log_sigma", [[math.log(sigma)]])
-        self.p_L = self.tape.param("L", np.eye(dim))
+        self.p_L = self.tape.param(
+            "L", np.eye(dim).take(tril_index(dim)).reshape(1, -1))
         self.k = cma_constants(dim, lam)
-        self._tri_mask = np.tril(np.ones((dim, dim)))
         self.box = BoxPenalty(dom)
         self.mean_diag_c = 1.0          # mean(diag C) of the committed factor
         self.p_sigma = np.zeros(dim)
@@ -526,6 +530,11 @@ class DiffCmaes(DiffAlgorithm):
     def hyperparams(self) -> dict:
         return {"sigma": float(np.exp(self.p_log_sigma.raw.value[0, 0]))}
 
+    def factor(self) -> np.ndarray:
+        """The current factor L as a C-contiguous (d, d) lower-triangular
+        matrix."""
+        return unpack_lower(self.p_L.raw.value, self.problem.dim)
+
     def generation(self, noise: dict = None) -> Var:
         if noise is None:
             noise = self.draw_noise()
@@ -533,7 +542,7 @@ class DiffCmaes(DiffAlgorithm):
         dom = self.problem.domain
 
         z = noise["z"]
-        Lm = t.mul(self.p_L.raw, t.constant(self._tri_mask))
+        Lm = t.lower_tri(self.p_L.raw, self.problem.dim)
         sigma = t.exp(self.p_log_sigma.raw)
         steps = t.mul(t.matmul(Lm, t.constant(z)), sigma)   # (d, lam)
         Xs = t.add_rowvec(t.transpose(steps), self.p_mu.raw)
@@ -612,21 +621,23 @@ class DiffCmaes(DiffAlgorithm):
             cc * (2.0 - cc) * mu_eff_t
         ) * (delta_mu / sigma_prev)
 
-        L_stepped = np.tril(self.p_L.raw.value)
         Y = (X - mu_prev) / sigma_prev
         delta_h = (1.0 - h_sig) * cc * (2.0 - cc)
         if self.pop_size + 1 < d:
-            # the R of a QR of [sqrt(a) Lᵀ; Uᵀ] has RᵀR = a L Lᵀ + U Uᵀ = C_new
+            # the R of a QR of [sqrt(a) Lᵀ; Uᵀ] has RᵀR = a L Lᵀ + U Uᵀ = C_new;
+            # sqrt(a) scales the stepped factor while it is still packed
             a =1.0 - k.c_1 - k.c_mu + k.c_1 * delta_h
             Ut = np.vstack([math.sqrt(k.c_1) * self.p_c,
                             np.sqrt(k.c_mu * w)[:, None] * Y])
-            R, _, _, info = dtpqrt(0, min(32, d), (math.sqrt(a) * L_stepped).T,
-                                   Ut, overwrite_a=1, overwrite_b=1)
+            sLt = unpack_lower(math.sqrt(a) * self.p_L.raw.value, d).T
+            R, _, _, info = dtpqrt(0, min(32, d), sLt, Ut,
+                                   overwrite_a=1, overwrite_b=1)
             if info != 0:
                 raise RuntimeError(f"covariance factor update failed: info {info}")
             L_new = R.T * np.where(np.diag(R) < 0.0, -1.0, 1.0)
             mean_diag_c = float(np.vdot(L_new, L_new)) / d
         else:
+            L_stepped = self.factor()
             C = L_stepped @ L_stepped.T
             rank_mu = Y.T @ (w[:, None] * Y)
             C_new = (
@@ -637,7 +648,8 @@ class DiffCmaes(DiffAlgorithm):
             C_new = 0.5 * (C_new + C_new.T)
             L_new = cholesky_with_jitter(C_new)
             mean_diag_c = float(np.trace(C_new)) / d
-        # neither factorization rejects a NaN input
+        # cholesky_with_jitter checks its own factor; dtpqrt does not reject
+        # a NaN input
         if not np.all(np.isfinite(np.diag(L_new))):
             raise RuntimeError("covariance factor has a non-finite diagonal")
 
@@ -648,7 +660,7 @@ class DiffCmaes(DiffAlgorithm):
         sigma_new = sigma_stepped * math.exp(csa_log)
         sigma_new = max(sigma_new, 1e-300)
         self.p_log_sigma.raw.value = np.array([[math.log(sigma_new)]])
-        self.p_L.raw.value = L_new
+        self.p_L.raw.value = L_new.take(tril_index(d)).reshape(1, -1)
         self.mean_diag_c = mean_diag_c
 
         self._track_best(st["x_values"], st["fit"])

@@ -250,6 +250,11 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     results.append(CheckResult("op:straight_through",
                                max(_err(st_grad, soft_grad), errs["a"])))
 
+    # --- packed lower triangle (drawn last, so the points above stay put)
+    t = Tape()
+    a = t.param("a", _away_from(rng, (1, 6), -2, 2))
+    run("lower_tri", lambda: weighted(t, t.lower_tri(a.raw, 3)), t)
+
     return results
 
 

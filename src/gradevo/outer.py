@@ -57,9 +57,22 @@ class Adam:
                 raise RuntimeError(
                     f"non-finite gradient for parameter {p.name!r}"
                 )
-            m = self._m[p.name] = b1 * self._m[p.name] + (1.0 - b1) * g
-            v = self._v[p.name] = b2 * self._v[p.name] + (1.0 - b2) * (g * g)
-            delta = -self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            # in place, with the rounding of b1 * m + (1 - b1) * g and
+            # -lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            m = self._m[p.name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v = self._v[p.name]
+            v *= b2
+            gg = g * g
+            gg *= 1.0 - b2
+            v += gg
+            delta = m / bc1
+            delta *= -self.lr
+            den = v / bc2
+            np.sqrt(den, out=den)
+            den += self.eps
+            delta /= den
             p.raw.value = p.raw.value + delta
             self._last_delta[p.name] = delta
 

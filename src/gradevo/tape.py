@@ -6,6 +6,13 @@ the forward value, the parent node ids and a vjp closure; :meth:`Tape.backward`
 walks the nodes in reverse id order and accumulates vector-Jacobian products
 into per-node gradient buffers.
 
+Gradients reach only the nodes a param reaches (activity analysis, Griewank
+& Walther, *Evaluating Derivatives*, ch. 6). A node ``needs_grad`` when it
+is a param or when any of its parents needs one; a node that does not
+records no vjp and no parents, and an op's vjp computes only the parent
+gradients whose parent needs one, returning None for the others. Constants
+and everything computed from constants alone keep ``grad`` None.
+
 Shape rules are strict: binary elementwise ops require identical shapes, with
 the single exception that a (1, 1) scalar broadcasts against any shape (the
 scalar's gradient is then the sum over the broadcast positions). Row- and
@@ -19,7 +26,8 @@ be recorded on a short tape.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +55,22 @@ def _sigmoid(x):
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
+@lru_cache(maxsize=8)
+def tril_index(n: int) -> Array:
+    """Flat C-order positions of the lower triangle of an (n, n) matrix,
+    row by row: the packing order of :meth:`Tape.lower_tri`."""
+    idx = np.flatnonzero(np.tri(n, dtype=bool))
+    idx.flags.writeable = False
+    return idx
+
+
+def unpack_lower(packed: Array, n: int) -> Array:
+    """The C-contiguous (n, n) lower-triangular matrix of a packed row."""
+    out = np.zeros((n, n))
+    out.ravel()[tril_index(n)] = packed.ravel()
+    return out
+
+
 def _reduce_to(g: Array, shape) -> Array:
     # collapse a broadcast gradient back onto a (1, 1) scalar parent
     if g.shape == shape:
@@ -57,15 +81,15 @@ def _reduce_to(g: Array, shape) -> Array:
 class Var:
     """One tape node: forward value, parents, vjp and a gradient buffer."""
 
-    __slots__ = ("tape", "nid", "op", "value", "grad", "trainable", "_parents", "_vjp")
+    __slots__ = ("tape", "nid", "op", "value", "grad", "needs_grad", "_parents", "_vjp")
 
-    def __init__(self, tape, nid, op, value, parents=(), vjp=None, trainable=False):
+    def __init__(self, tape, nid, op, value, parents=(), vjp=None, needs_grad=False):
         self.tape = tape
         self.nid = nid
         self.op = op
         self.value = value
         self.grad = None
-        self.trainable = trainable
+        self.needs_grad = needs_grad
         self._parents = parents
         self._vjp = vjp
 
@@ -144,16 +168,13 @@ class Tape:
     # construction
     # ------------------------------------------------------------------
 
-    def _record(self, op, value, parents=(), vjp=None, trainable=False) -> Var:
-        v = Var(
-            self,
-            len(self.nodes),
-            op,
-            value,
-            tuple(p.nid for p in parents),
-            vjp,
-            trainable,
-        )
+    def _record(self, op, value, parents=(), vjp=None) -> Var:
+        # a node no param reaches keeps neither its parents nor its vjp
+        if any(p.needs_grad for p in parents):
+            v = Var(self, len(self.nodes), op, value,
+                    tuple(p.nid for p in parents), vjp, True)
+        else:
+            v = Var(self, len(self.nodes), op, value)
         self.nodes.append(v)
         return v
 
@@ -163,7 +184,9 @@ class Tape:
     def param(self, name: str, values) -> Param:
         if any(p.name == name for p in self.params):
             raise ValueError(f"duplicate param name {name!r}")
-        raw = self._record("param", _as2d(values).copy(), trainable=True)
+        raw = Var(self, len(self.nodes), "param", _as2d(values).copy(),
+                  needs_grad=True)
+        self.nodes.append(raw)
         p = Param(name, raw)
         self.params.append(p)
         return p
@@ -181,27 +204,33 @@ class Tape:
     def add(self, a: Var, b: Var) -> Var:
         self._check_binary(a, b, "add")
         sa, sb = a.shape, b.shape
+        na, nb = a.needs_grad, b.needs_grad
 
         def vjp(g):
-            return _reduce_to(g, sa), _reduce_to(g, sb)
+            return (_reduce_to(g, sa) if na else None,
+                    _reduce_to(g, sb) if nb else None)
 
         return self._record("add", a.value + b.value, (a, b), vjp)
 
     def sub(self, a: Var, b: Var) -> Var:
         self._check_binary(a, b, "sub")
         sa, sb = a.shape, b.shape
+        na, nb = a.needs_grad, b.needs_grad
 
         def vjp(g):
-            return _reduce_to(g, sa), _reduce_to(-g, sb)
+            return (_reduce_to(g, sa) if na else None,
+                    _reduce_to(-g, sb) if nb else None)
 
         return self._record("sub", a.value - b.value, (a, b), vjp)
 
     def mul(self, a: Var, b: Var) -> Var:
         self._check_binary(a, b, "mul")
         av, bv = a.value, b.value
+        na, nb = a.needs_grad, b.needs_grad
 
         def vjp(g):
-            return _reduce_to(g * bv, av.shape), _reduce_to(g * av, bv.shape)
+            return (_reduce_to(g * bv, av.shape) if na else None,
+                    _reduce_to(g * av, bv.shape) if nb else None)
 
         return self._record("mul", av * bv, (a, b), vjp)
 
@@ -214,13 +243,18 @@ class Tape:
         if np.any(a.value < 0.0):
             raise ValueError("pow: negative base with Var exponent")
         av, bv = a.value, b.value
+        na, nb = a.needs_grad, b.needs_grad
         out = np.power(av, bv)
 
         def vjp(g):
-            da = g * bv * np.power(av, bv - 1.0)
-            safe = np.where(av > 0.0, av, 1.0)
-            db = g * out * np.where(av > 0.0, np.log(safe), 0.0)
-            return _reduce_to(da, av.shape), _reduce_to(db, bv.shape)
+            da = db = None
+            if na:
+                da = _reduce_to(g * bv * np.power(av, bv - 1.0), av.shape)
+            if nb:
+                safe = np.where(av > 0.0, av, 1.0)
+                db = _reduce_to(g * out * np.where(av > 0.0, np.log(safe), 0.0),
+                                bv.shape)
+            return da, db
 
         return self._record("pow", out, (a, b), vjp)
 
@@ -264,7 +298,15 @@ class Tape:
 
     def tanh(self, a: Var) -> Var:
         out = np.tanh(a.value)
-        return self._record("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
+
+        def vjp(g):
+            # g * (1 - out * out), in one buffer
+            d = out * out
+            np.subtract(1.0, d, out=d)
+            np.multiply(g, d, out=d)
+            return (d,)
+
+        return self._record("tanh", out, (a,), vjp)
 
     def sigmoid(self, a: Var) -> Var:
         out = _sigmoid(a.value)
@@ -346,14 +388,28 @@ class Tape:
         if a.cols != b.rows:
             raise ValueError(f"matmul: inner dims {a.shape} @ {b.shape}")
         av, bv = a.value, b.value
+        na, nb = a.needs_grad, b.needs_grad
 
         def vjp(g):
-            return g @ bv.T, av.T @ g
+            return (g @ bv.T if na else None), (av.T @ g if nb else None)
 
         return self._record("matmul", av @ bv, (a, b), vjp)
 
     def transpose(self, a: Var) -> Var:
         return self._record("transpose", a.value.T.copy(), (a,), lambda g: (g.T,))
+
+    def lower_tri(self, a: Var, n: int) -> Var:
+        """(n, n) lower-triangular matrix from its packed (1, n(n+1)/2) row,
+        filled row by row (the order of ``np.tril_indices``)."""
+        m = n * (n + 1) // 2
+        if a.shape != (1, m):
+            raise ValueError(f"lower_tri: packed row must be (1, {m}), got {a.shape}")
+        idx = tril_index(n)
+
+        def vjp(g):
+            return (g.take(idx).reshape(1, m),)
+
+        return self._record("lower_tri", unpack_lower(a.value, n), (a,), vjp)
 
     # ------------------------------------------------------------------
     # shape / selection ops
@@ -403,9 +459,11 @@ class Tape:
             if not _is_scalar(v.value):
                 raise ValueError("concat_scalars: all items must be (1, 1)")
         vals = np.array([[v.value[0, 0]] for v in items])
+        active = [v.needs_grad for v in items]
 
         def vjp(g):
-            return tuple(g[i : i + 1, :].copy() for i in range(len(items)))
+            return tuple(g[i : i + 1, :] if act else None
+                         for i, act in enumerate(active))
 
         return self._record("concat_scalars", vals, tuple(items), vjp)
 
@@ -413,9 +471,10 @@ class Tape:
         """(n, m) + (1, m) broadcast over rows."""
         if b.rows != 1 or b.cols != a.cols:
             raise ValueError(f"add_rowvec: {a.shape} + {b.shape}")
+        na, nb = a.needs_grad, b.needs_grad
 
         def vjp(g):
-            return g, g.sum(axis=0, keepdims=True)
+            return (g if na else None), (g.sum(axis=0, keepdims=True) if nb else None)
 
         return self._record("add_rowvec", a.value + b.value, (a, b), vjp)
 
@@ -424,9 +483,11 @@ class Tape:
         if b.rows != 1 or b.cols != a.cols:
             raise ValueError(f"mul_rowvec: {a.shape} * {b.shape}")
         av, bv = a.value, b.value
+        na, nb = a.needs_grad, b.needs_grad
 
         def vjp(g):
-            return g * bv, (g * av).sum(axis=0, keepdims=True)
+            return ((g * bv if na else None),
+                    ((g * av).sum(axis=0, keepdims=True) if nb else None))
 
         return self._record("mul_rowvec", av * bv, (a, b), vjp)
 
@@ -435,9 +496,11 @@ class Tape:
         if b.cols != 1 or b.rows != a.rows:
             raise ValueError(f"mul_colvec: {a.shape} * {b.shape}")
         av, bv = a.value, b.value
+        na, nb = a.needs_grad, b.needs_grad
 
         def vjp(g):
-            return g * bv, (g * av).sum(axis=1, keepdims=True)
+            return ((g * bv if na else None),
+                    ((g * av).sum(axis=1, keepdims=True) if nb else None))
 
         return self._record("mul_colvec", av * bv, (a, b), vjp)
 
@@ -477,16 +540,23 @@ class Tape:
     # ------------------------------------------------------------------
 
     def backward(self, loss: Var) -> None:
-        """Accumulate d(loss)/d(node) into every reachable node's ``grad``.
+        """Accumulate d(loss)/d(node) into the ``grad`` of every node that
+        both reaches the loss and is reached by a param.
 
-        Each call propagates a fresh unit seed and adds its contribution on
-        top of whatever the buffers already hold, so two backward calls
-        without an intervening zero_grad double the gradients.
+        Nodes no param reaches keep ``grad`` None, and so does every node
+        when no param reaches the loss. Each call propagates a fresh unit
+        seed and adds its contribution on top of whatever the buffers
+        already hold, so two backward calls without an intervening zero_grad
+        double the gradients. Contributions are never updated in place (a
+        vjp may hand the same array to several parents), so a ``grad`` may
+        share memory with another node's and must be treated as read-only.
         """
         if loss.tape is not self:
             raise ValueError("backward: loss belongs to a different tape")
         if not _is_scalar(loss.value):
             raise ValueError(f"backward: loss must be scalar, got {loss.shape}")
+        if not loss.needs_grad:
+            return
         contrib: list = [None] * len(self.nodes)
         contrib[loss.nid] = np.ones((1, 1))
         for nid in range(loss.nid, -1, -1):
@@ -496,12 +566,11 @@ class Tape:
             node = self.nodes[nid]
             if node._vjp is None:
                 continue
-            parent_grads = node._vjp(g)
-            for pid, pg in zip(node._parents, parent_grads):
-                if contrib[pid] is None:
-                    contrib[pid] = pg.copy()
-                else:
-                    contrib[pid] += pg
+            for pid, pg in zip(node._parents, node._vjp(g)):
+                if pg is None:
+                    continue
+                c = contrib[pid]
+                contrib[pid] = pg if c is None else c + pg
         for nid, c in enumerate(contrib):
             if c is None:
                 continue

@@ -144,6 +144,22 @@ def test_cholesky_with_jitter_recovers_and_reports():
         cholesky_with_jitter(np.array([[0.0, 5.0], [5.0, 0.0]]))
 
 
+def test_cholesky_with_jitter_rejects_a_nan_covariance():
+    # LAPACK returns NaN rows here instead of failing
+    C = np.eye(5)
+    C[2, 2] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite"):
+        cholesky_with_jitter(C)
+
+
+def test_cmaes_generation_fails_on_a_nan_covariance():
+    algo = ClassicCmaes(make_problem("sphere", 5), pop_size=8, rng=Rng(0))
+    algo.generation()
+    algo.C[2, 2] = np.nan
+    with pytest.raises(RuntimeError, match="non-finite"):
+        algo.generation()
+
+
 def test_cma_constants_shapes_and_ranges():
     k = cma_constants(10, 20)
     assert k.mu == 10

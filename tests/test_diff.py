@@ -276,8 +276,8 @@ def test_cmaes_penalty_gradient_points_into_box():
 
 def _cmaes_generations(d, pop, n_gens, on_commit=None):
     """Run n_gens lr-1.0 generations of DiffCmaes on sphere-d; on_commit sees
-    the algorithm, tril of the stepped factor and the staged values after
-    each commit."""
+    the algorithm, the stepped factor and the staged values after each
+    commit."""
     prob = make_problem("sphere", d)
     algo = DiffCmaes(prob, pop_size=pop, rng=Rng(0))
     opt = Adam(algo.parameters(), lr=1.0)
@@ -286,7 +286,7 @@ def _cmaes_generations(d, pop, n_gens, on_commit=None):
         loss = algo.generation()
         algo.tape.backward(loss)
         opt.step()
-        L_stepped = np.tril(algo.p_L.raw.value)
+        L_stepped = algo.factor()
         st = dict(algo._staged)
         algo.update_state(opt)
         algo.tape.reset()
@@ -319,7 +319,7 @@ def test_cmaes_factor_update_matches_dense_covariance():
     residuals = []
 
     def check(algo, L_stepped, st):
-        L = algo.p_L.raw.value
+        L = algo.factor()
         assert L.flags.c_contiguous
         assert np.all(np.triu(L, 1) == 0.0)
         assert np.all(np.diag(L) > 0.0)
@@ -330,6 +330,18 @@ def test_cmaes_factor_update_matches_dense_covariance():
 
     _cmaes_generations(d, 6, 3, check)
     assert len(residuals) == 3 and max(residuals) <= 1e-14, residuals
+
+
+def test_cmaes_adam_steps_only_the_packed_lower_triangle():
+    d = 40
+    prob = make_problem("sphere", d)
+    algo = DiffCmaes(prob, pop_size=6, rng=Rng(0))
+    opt = Adam(algo.parameters(), lr=1.0)
+    records, err = run_loop(algo, prob, 12, opt)
+    assert err is None and len(records) == 2
+    packed = (1, d * (d + 1) // 2)
+    assert algo.p_L.raw.shape == opt._m["L"].shape == opt._v["L"].shape == packed
+    assert np.all(opt._v["L"] > 0.0)
 
 
 @pytest.mark.parametrize("d, calls", [(40, 0), (5, 3)])

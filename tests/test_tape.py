@@ -228,6 +228,76 @@ def test_graph_replay_is_deterministic():
     np.testing.assert_array_equal(g1, g2)
 
 
+def test_nodes_no_param_reaches_get_no_gradient():
+    t = Tape()
+    p = t.param("x", [[0.5, -1.5]])
+    c = t.constant([[2.0, 3.0]])
+    k = t.exp(t.mul(c, c))                   # computed from constants only
+    y = t.sum(t.add(t.mul(p.raw, k), c))
+    t.backward(y)
+    for node in (c, k):
+        assert not node.needs_grad
+        assert node.grad is None
+        assert node._vjp is None and node._parents == ()
+    assert p.raw.needs_grad and y.needs_grad
+    np.testing.assert_array_equal(grad_of(t, p), k.value)
+    # a loss no param reaches leaves every buffer empty
+    t.backward(t.sum(k))
+    assert k.grad is None
+
+
+def test_fan_out_gradients_match_numpy_and_accumulate():
+    # one param feeds add(x, x), two matmuls, straight_through and
+    # slice_rows; add(x, x) is recorded last, so backward reaches it first
+    # and x's first contribution is the very array add hands to both parents
+    g = np.random.default_rng(5)
+    X = g.normal(size=(3, 2))
+    W, M = g.normal(size=(2, 4)), g.normal(size=(3, 3))
+    C1, C2, C3, C4 = (g.normal(size=s) for s in ((3, 4), (3, 2), (3, 2), (2, 2)))
+    t = Tape()
+    p = t.param("x", X)
+    x = p.raw
+    right = t.matmul(t.constant(M), x)
+    hard = t.straight_through(t.constant(np.sign(X)), x)
+    top = t.slice_rows(x, 0, 2)
+    twice = t.add(x, x)
+    left = t.matmul(twice, t.constant(W))
+    parts = [t.sum(t.mul(v, t.constant(c)))
+             for v, c in ((left, C1), (right, C2), (hard, C3), (top, C4))]
+    loss = t.add(t.add(parts[0], parts[1]), t.add(parts[2], parts[3]))
+
+    expect = 2.0 * C1 @ W.T + M.T @ C2 + C3 + np.vstack([C4, np.zeros((1, 2))])
+    t.backward(loss)
+    np.testing.assert_allclose(grad_of(t, p), expect, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(twice.grad, C1 @ W.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(hard.grad, C3)
+    np.testing.assert_array_equal(top.grad, C4)
+    first = {v.nid: v.grad.copy() for v in (x, twice, left, right, hard, top)}
+    t.backward(loss)
+    for v in (x, twice, left, right, hard, top):
+        np.testing.assert_array_equal(v.grad, 2.0 * first[v.nid])
+    assert all(n.grad is None for n in t.nodes if not n.needs_grad)
+
+
+def test_lower_tri_scatters_rows_and_gathers_gradient():
+    t = Tape()
+    p = t.param("l", [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
+    L = t.lower_tri(p.raw, 3)
+    np.testing.assert_array_equal(
+        L.value, [[1.0, 0.0, 0.0], [2.0, 3.0, 0.0], [4.0, 5.0, 6.0]])
+    assert L.value.flags.c_contiguous
+    w = np.arange(9, dtype=float).reshape(3, 3)
+    t.backward(t.sum(t.mul(L, t.constant(w))))
+    np.testing.assert_array_equal(grad_of(t, p), [w[np.tril_indices(3)]])
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (1, 7), (6, 1)])
+def test_lower_tri_rejects_a_wrong_packed_row(shape):
+    t = Tape()
+    with pytest.raises(ValueError, match="lower_tri"):
+        t.lower_tri(t.constant(np.ones(shape)), 3)
+
+
 def test_every_tape_op_is_reached(tmp_path, monkeypatch, capsys):
     # every public Tape method serves some study; the one exception is
     # ``sum``, the loss reduction of the gradient checks
