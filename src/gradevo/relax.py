@@ -9,8 +9,9 @@ inline in ``DiffCmaes``):
   a straight-through hard threshold at 0.5 so P(hard = 1) = sigmoid(alpha)
   for any temperature.
 * ``gumbel_softmax``: Concrete relaxation of a categorical draw,
-  softmax((log u - log(1 - u) + logits) / tau), optionally straight-through
-  one-hot at the argmax.
+  softmax((-log(-log u) + logits) / tau), optionally straight-through
+  one-hot at the argmax, so P(argmax = j) = softmax(logits)_j for any
+  temperature.
 
 Noise enters as plain constants, so gradients flow only through the
 distribution parameters (the pathwise estimator). Both samplers accept the
@@ -151,7 +152,7 @@ def gumbel_softmax(tape: Tape, logits: Var, tau: float = 1.0, rng: Rng = None,
     u = np.clip(np.asarray(u, dtype=np.float64), _UCLIP, 1.0 - _UCLIP)
     if u.shape != (rows, n):
         raise ValueError(f"u has shape {u.shape}, expected ({rows}, {n})")
-    g = logistic_noise(u)
+    g = -np.log(-np.log(u))   # standard Gumbel noise
     if forbid is not None:
         forbid = np.asarray(forbid, dtype=bool)
         if forbid.shape != (rows, n):

@@ -19,6 +19,9 @@ scalar's gradient is then the sum over the broadcast positions). Row- and
 column-vector broadcasts have their own dedicated ops so the intent is
 explicit in the graph.
 
+A composite function with a hand-written vjp records itself as one node
+through ``Tape._record`` (the wine MLP loss, ``WineProblem.eval_pop``).
+
 Trainable leaves are created through :meth:`Tape.param` and survive
 :meth:`Tape.reset`, which drops every other node so the next generation can
 be recorded on a short tape.
@@ -27,7 +30,6 @@ be recorded on a short tape.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -296,18 +298,6 @@ class Tape:
         av = a.value
         return self._record("cos", np.cos(av), (a,), lambda g: (-g * np.sin(av),))
 
-    def tanh(self, a: Var) -> Var:
-        out = np.tanh(a.value)
-
-        def vjp(g):
-            # g * (1 - out * out), in one buffer
-            d = out * out
-            np.subtract(1.0, d, out=d)
-            np.multiply(g, d, out=d)
-            return (d,)
-
-        return self._record("tanh", out, (a,), vjp)
-
     def sigmoid(self, a: Var) -> Var:
         out = _sigmoid(a.value)
         return self._record(
@@ -426,46 +416,6 @@ class Tape:
             return (z,)
 
         return self._record("slice_cols", a.value[:, j0:j1].copy(), (a,), vjp)
-
-    def slice_rows(self, a: Var, i0: int, i1: int) -> Var:
-        if not (0 <= i0 < i1 <= a.rows):
-            raise ValueError(f"slice_rows: [{i0}:{i1}] out of range for {a.shape}")
-        shape = a.shape
-
-        def vjp(g):
-            z = np.zeros(shape)
-            z[i0:i1, :] = g
-            return (z,)
-
-        return self._record("slice_rows", a.value[i0:i1, :].copy(), (a,), vjp)
-
-    def reshape(self, a: Var, rows: int, cols: int) -> Var:
-        if rows * cols != a.value.size:
-            raise ValueError(f"reshape: {a.shape} to ({rows}, {cols})")
-        shape = a.shape
-
-        def vjp(g):
-            return (g.reshape(shape),)
-
-        return self._record(
-            "reshape", a.value.reshape(rows, cols).copy(), (a,), vjp
-        )
-
-    def concat_scalars(self, items: Sequence[Var]) -> Var:
-        """Stack k scalar Vars into a (k, 1) column."""
-        if not items:
-            raise ValueError("concat_scalars: empty sequence")
-        for v in items:
-            if not _is_scalar(v.value):
-                raise ValueError("concat_scalars: all items must be (1, 1)")
-        vals = np.array([[v.value[0, 0]] for v in items])
-        active = [v.needs_grad for v in items]
-
-        def vjp(g):
-            return tuple(g[i : i + 1, :] if act else None
-                         for i, act in enumerate(active))
-
-        return self._record("concat_scalars", vals, tuple(items), vjp)
 
     def add_rowvec(self, a: Var, b: Var) -> Var:
         """(n, m) + (1, m) broadcast over rows."""

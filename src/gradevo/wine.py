@@ -1,4 +1,4 @@
-"""Red-wine quality regression: data handling and the on-tape MLP.
+"""Red-wine quality regression: data handling and the MLP loss on the tape.
 
 The regression target is the quality score plus multiplicative-style noise,
 target_i = quality_i + exp(z_i) with z_i ~ N(0, 1), drawn per run seed. The
@@ -13,6 +13,15 @@ of the first layer deep into saturation, the regime the experiment probes.
 header row). ``write_synthetic_wine`` generates a fixed, seed-pinned table in
 the same format with realistic feature scales for offline runs; pass a real
 winequality-red.csv to ``load_wine`` and everything downstream is unchanged.
+
+``mlp_forward`` is the network's one forward pass, shared by both
+evaluation paths: it returns the loss of every parameter row of a (k, P)
+batch together with the hidden activations and residuals. ``eval_array``
+keeps the losses; ``eval_pop`` records the whole batch as a single tape
+node, ``mlp_mse``, whose parent is the (k, P) population and whose
+hand-written vjp (Griewank & Walther, *Evaluating Derivatives*, ch. 6)
+reads those buffers back, so the tape holds one node per population
+instead of a graph per candidate.
 
 ``Backprop`` is the study's baseline arm: plain full-batch backprop on the
 same network, driven by the same generation loop as the evolved arms.
@@ -150,20 +159,14 @@ def noisy_targets(quality: np.ndarray, seed: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Fully-connected 11 -> n_hidden (tanh) -> 1 regressor."""
+    """Fully-connected n_in -> n_hidden (tanh) -> 1 regressor."""
 
     n_in: int = N_FEATURES
     n_hidden: int = 128
-    n_out: int = 1
 
     @property
     def n_params(self) -> int:
-        return (
-            self.n_in * self.n_hidden
-            + self.n_hidden
-            + self.n_hidden * self.n_out
-            + self.n_out
-        )
+        return self.n_in * self.n_hidden + 2 * self.n_hidden + 1
 
     def unpack_spans(self):
         """Column spans of (W1, b1, W2, b2) inside the flat parameter row.
@@ -173,46 +176,36 @@ class MlpSpec:
         """
         a = self.n_in * self.n_hidden
         b = a + self.n_hidden
-        c = b + self.n_hidden * self.n_out
-        d = c + self.n_out
-        return (0, a), (a, b), (b, c), (c, d)
+        c = b + self.n_hidden
+        return (0, a), (a, b), (b, c), (c, c + 1)
 
 
-def mlp_forward(tape: Tape, params: Var, features: Var, spec: MlpSpec) -> Var:
-    """Predictions of the MLP whose weights live in one flat (1, P) row."""
-    if params.shape != (1, spec.n_params):
-        raise ValueError(
-            f"params must be (1, {spec.n_params}), got {params.shape}"
-        )
+def mlp_forward(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
+                spec: MlpSpec):
+    """Mean-squared error of the network of each row of a (k, P) batch.
+
+    Returns ``(losses, h, r)``: the (k,) losses, the (k, n, n_hidden) tanh
+    activations and the (k, n, 1) residuals prediction - target, which are
+    what the vjp of ``WineProblem.eval_pop`` reads.
+    """
+    if X.ndim != 2 or X.shape[1] != spec.n_params:
+        raise ValueError(f"params must be (k, {spec.n_params}), got {X.shape}")
     (w1a, w1b), (b1a, b1b), (w2a, w2b), (b2a, b2b) = spec.unpack_spans()
-    W1 = tape.reshape(tape.slice_cols(params, w1a, w1b), spec.n_in, spec.n_hidden)
-    b1 = tape.slice_cols(params, b1a, b1b)
-    W2 = tape.reshape(tape.slice_cols(params, w2a, w2b), spec.n_hidden, spec.n_out)
-    b2 = tape.slice_cols(params, b2a, b2b)
-    h = tape.tanh(tape.add_rowvec(tape.matmul(features, W1), b1))
-    return tape.add(tape.matmul(h, W2), b2)
-
-
-def mse_loss(tape: Tape, pred: Var, target: Var) -> Var:
-    if pred.shape != target.shape:
-        raise ValueError(f"mse_loss: {pred.shape} vs {target.shape}")
-    return tape.mean(tape.powc(tape.sub(pred, target), 2.0))
-
-
-def mlp_mse_array(params: np.ndarray, features: np.ndarray, targets: np.ndarray,
-                  spec: MlpSpec) -> np.ndarray:
-    """Plain-numpy MSE for a (k, P) batch of parameter rows."""
-    (w1a, w1b), (b1a, b1b), (w2a, w2b), (b2a, b2b) = spec.unpack_spans()
-    out = np.empty(params.shape[0])
-    for i in range(params.shape[0]):
-        p = params[i]
-        W1 = p[w1a:w1b].reshape(spec.n_in, spec.n_hidden)
-        b1 = p[b1a:b1b]
-        W2 = p[w2a:w2b].reshape(spec.n_hidden, spec.n_out)
-        b2 = p[b2a:b2b]
-        pred = np.tanh(features @ W1 + b1) @ W2 + b2
-        out[i] = np.mean((pred.ravel() - targets) ** 2)
-    return out
+    k, n = X.shape[0], features.shape[0]
+    t = targets.reshape(n, 1)
+    h = np.empty((k, n, spec.n_hidden))
+    r = np.empty((k, n, 1))
+    losses = np.empty(k)
+    for i in range(k):
+        p, hi, ri = X[i], h[i], r[i]
+        np.matmul(features, p[w1a:w1b].reshape(spec.n_in, spec.n_hidden), out=hi)
+        hi += p[b1a:b1b]
+        np.tanh(hi, out=hi)
+        np.matmul(hi, p[w2a:w2b].reshape(spec.n_hidden, 1), out=ri)
+        ri += p[b2a:b2b]
+        ri -= t
+        losses[i] = np.power(ri, 2.0).mean()
+    return losses, h, r
 
 
 class WineProblem(Problem):
@@ -240,19 +233,35 @@ class WineProblem(Problem):
         return cls(feats, noisy_targets(quality, noise_seed), **kw)
 
     def _eval_array(self, X):
-        return mlp_mse_array(X, self.features, self.targets, self.spec)
+        return mlp_forward(X, self.features, self.targets, self.spec)[0]
 
     def _eval_pop(self, tape, X):
-        feats = tape.constant(self.features)
-        targ = tape.constant(self.targets.reshape(-1, 1))
-        losses = []
-        for i in range(X.rows):
-            row = tape.slice_rows(X, i, i + 1) if X.rows > 1 else X
-            pred = mlp_forward(tape, row, feats, self.spec)
-            losses.append(mse_loss(tape, pred, targ))
-        if len(losses) == 1:
-            return losses[0]
-        return tape.concat_scalars(losses)
+        xv, F = X.value, self.features
+        losses, h, r = mlp_forward(xv, F, self.targets, self.spec)
+        (w1a, w1b), (b1a, b1b), (w2a, w2b), (b2a, b2b) = self.spec.unpack_spans()
+        n_hidden = self.spec.n_hidden
+        n = F.shape[0]
+
+        def vjp(g):
+            # the reverse of mlp_forward, row by row; a row whose loss gets
+            # no gradient (every row but the winner under a "best" loss)
+            # keeps its zeros
+            grad = np.zeros(xv.shape)
+            dh, d = np.empty((2, n, n_hidden))
+            for i in np.flatnonzero(g[:, 0]):
+                hi = h[i]
+                gs = (g[i, 0] / n) * 2.0 * r[i]
+                grad[i, w2a:w2b] = (hi.T @ gs).ravel()
+                grad[i, b2a] = gs.sum()
+                np.multiply(hi, hi, out=d)
+                np.subtract(1.0, d, out=d)
+                np.multiply(gs, xv[i, w2a:w2b], out=dh)   # the outer product gs W2ᵀ
+                np.multiply(dh, d, out=d)
+                grad[i, w1a:w1b] = (F.T @ d).ravel()
+                grad[i, b1a:b1b] = d.sum(axis=0)
+            return (grad,)
+
+        return tape._record("mlp_mse", losses.reshape(-1, 1), (X,), vjp)
 
 
 class Backprop:

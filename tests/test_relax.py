@@ -68,6 +68,18 @@ def test_gumbel_softmax_uniform_logits_pick_uniformly():
         assert abs(c - rows * p) < 3 * se
 
 
+def test_gumbel_softmax_hard_argmax_follows_softmax_of_nonuniform_logits():
+    # the Gumbel-max trick: P(argmax_j (g_j + logit_j) = j) = softmax(logits)_j;
+    # logistic noise in place of Gumbel noise gives [.427, .199, .082, .292]
+    logits = np.array([[1.0, 0.0, -1.0, 0.5]])
+    rows = 200_000
+    t = Tape()
+    y = gumbel_softmax(t, t.constant(logits), rng=Rng(7), rows=rows, hard=True)
+    p = np.exp(logits[0]) / np.exp(logits[0]).sum()
+    se = np.sqrt(p * (1 - p) * rows)
+    assert np.all(np.abs(y.value.sum(axis=0) - rows * p) < 3 * se)
+
+
 def test_gumbel_softmax_rows_sum_to_one():
     t = Tape()
     logits = t.constant([[0.5, -1.0, 2.0]])

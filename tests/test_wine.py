@@ -1,4 +1,4 @@
-"""Wine table loading, the tiny MLP, its MSE objective and the backprop arm."""
+"""Wine table loading, the MLP forward, its loss node on the tape and the backprop arm."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from gradevo.wine import (
     WineProblem,
     load_wine,
     mlp_forward,
-    mlp_mse_array,
-    mse_loss,
     noisy_targets,
     write_synthetic_wine,
 )
@@ -88,8 +86,10 @@ def test_zero_params_give_zero_predictions():
     spec = MlpSpec()
     feats = np.random.default_rng(0).normal(size=(7, 11))
     targets = np.arange(7.0)
-    mse = mlp_mse_array(np.zeros((1, spec.n_params)), feats, targets, spec)
+    mse, h, r = mlp_forward(np.zeros((1, spec.n_params)), feats, targets, spec)
     np.testing.assert_allclose(mse[0], np.mean(targets ** 2), rtol=1e-12)
+    assert h.shape == (1, 7, 128) and not h.any()
+    np.testing.assert_array_equal(r[0, :, 0], -targets)
 
 
 def test_micro_network_hand_oracle():
@@ -102,37 +102,48 @@ def test_micro_network_hand_oracle():
     target = np.array([1.0])
     pred = w2 * np.tanh(w1 * 0.8 + b1) + b2
     expect = (pred - 1.0) ** 2
-    got = mlp_mse_array(params, x, target, spec)
+    got = mlp_forward(params, x, target, spec)[0]
     np.testing.assert_allclose(got[0], expect, rtol=1e-12)
 
 
-def test_tape_forward_matches_array_reference():
-    spec = MlpSpec()
-    rng = np.random.default_rng(1)
-    params = rng.uniform(-1, 1, size=(1, spec.n_params))
-    feats = rng.normal(size=(13, 11))
-    targets = rng.normal(size=13)
+def test_tape_forward_matches_array_reference(table):
+    # both evaluation paths run mlp_forward, so they agree to the bit
+    prob = WineProblem.from_file(table, noise_seed=0)
+    X = np.random.default_rng(1).uniform(-10, 10, size=(30, 1665))
     t = Tape()
-    pred = mlp_forward(t, t.constant(params), t.constant(feats), spec)
-    loss = mse_loss(t, pred, t.constant(targets.reshape(-1, 1)))
-    np.testing.assert_allclose(
-        loss.item(), mlp_mse_array(params, feats, targets, spec)[0], rtol=1e-10
-    )
+    fit = prob.eval_pop(t, t.constant(X))
+    assert fit.shape == (30, 1)
+    np.testing.assert_array_equal(fit.value.ravel(), prob.eval_array(X))
 
 
 def test_mlp_forward_rejects_wrong_width():
-    t = Tape()
     with pytest.raises(ValueError):
-        mlp_forward(t, t.constant(np.zeros((1, 10))), t.constant(np.zeros((2, 11))),
-                    MlpSpec())
+        mlp_forward(np.zeros((1, 10)), np.zeros((2, 11)), np.zeros(2), MlpSpec())
 
 
 def test_mse_known_value():
-    # predictions (0, 0) against targets (1, 3): ((0-1)^2 + (0-3)^2) / 2 = 5
+    # zero weights predict (0, 0) against targets (1, 3):
+    # ((0-1)^2 + (0-3)^2) / 2 = 5
+    spec = MlpSpec(n_in=1, n_hidden=1)
+    mse = mlp_forward(np.zeros((1, 4)), np.ones((2, 1)), np.array([1.0, 3.0]), spec)[0]
+    assert mse[0] == 5.0
+
+
+def test_best_loss_gradient_reaches_only_the_winning_row(table):
+    prob = WineProblem.from_file(table, noise_seed=0)
+    X = np.random.default_rng(3).uniform(-0.5, 0.5, size=(4, 1665))
     t = Tape()
-    pred = t.constant([[0.0], [0.0]])
-    targ = t.constant([[1.0], [3.0]])
-    assert mse_loss(t, pred, targ).item() == 5.0
+    px = t.param("x", X)
+    loss, idx = t.min_with_index(prob.eval_pop(t, px.raw))
+    t.backward(loss)
+    g = px.raw.grad
+    others = [i for i in range(4) if i != idx]
+    assert g[idx].any() and not g[others].any()
+    # the winner's row is its own population-of-one gradient
+    t1 = Tape()
+    p1 = t1.param("x", X[idx:idx + 1])
+    t1.backward(prob.eval_pop(t1, p1.raw))
+    np.testing.assert_array_equal(g[idx:idx + 1], p1.raw.grad)
 
 
 def test_unpack_spans_cover_every_parameter_once():
