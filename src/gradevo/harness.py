@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import par
 from .classic import ClassicCmaes, ClassicDe, ClassicGa, ClassicPso
 from .diffevo import ALGORITHMS as DIFF_ALGORITHMS
 from .diffevo import DiffConfig
@@ -293,16 +294,20 @@ def experiment_dir(cfg: ExperimentConfig) -> Path:
 def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
     """Execute all runs, write CSVs and timing, return (stats, exp_dir).
 
+    BLAS is pinned to one thread here and in each worker process before
+    any run, so the CSVs do not depend on the machine's thread count.
     A failed run still writes its partial CSV and is excluded from the
     summary (with a warning); only a fully failed experiment raises.
     """
     exp_dir = experiment_dir(cfg)
     exp_dir.mkdir(parents=True, exist_ok=True)
+    blas_threads = par.pin_blas()
     t0 = time.perf_counter()
 
     results: dict[int, tuple[list, object]] = {}
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.workers,
+                                 initializer=par.pin_blas) as pool:
             futures = [pool.submit(run_single, cfg, i) for i in range(cfg.runs)]
             for fut in futures:
                 idx, records, err = fut.result()
@@ -337,6 +342,8 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
     with open(exp_dir / "timing.log", "w") as fh:
         fh.write(f"wall_seconds={wall:.3f}\n")
         fh.write(f"completed={len(finals)} failed={len(failures)}\n")
+        fh.write(f"pool_threads={par.width()}\n")
+        fh.write(f"blas_threads={blas_threads}\n")
     if not quiet:
         print(
             f"{cfg.resolved_label()}: mean={stats.mean:.6g} "

@@ -18,7 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import par
 from .tape import Param
+
+# a slot of at least this many entries is stepped in chunks on the CPUs
+SPLIT_ENTRIES = 1 << 16
 
 
 class Adam:
@@ -28,6 +32,12 @@ class Adam:
     displacement so the commit phase can replay it on top of a staged
     candidate. A missing gradient counts as zero (the slot keeps its value);
     a non-finite gradient is an error naming the parameter.
+
+    The update is elementwise, so a slot of at least ``SPLIT_ENTRIES``
+    entries (the packed wine factor) is cut into contiguous chunks that
+    ``par.run`` steps on the CPUs. Each chunk computes in the new value and
+    displacement arrays allocated before the split, with the rounding of
+    the serial formula, so the step is bitwise the same at any pool width.
     """
 
     def __init__(self, params, lr: float = 0.01, beta1: float = 0.9,
@@ -40,40 +50,54 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.raw.value) for p in self.params}
-        self._v = {p.name: np.zeros_like(p.raw.value) for p in self.params}
+        self._m = {p.name: np.zeros(p.raw.value.shape) for p in self.params}
+        self._v = {p.name: np.zeros(p.raw.value.shape) for p in self.params}
         self._last_delta = {}
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
+
+        def update(x, g, m, v, xn, d):
+            # with the rounding of b1 * m + (1 - b1) * g and
+            # x - lr * (m / bc1) / (sqrt(v / bc2) + eps); the new value xn
+            # and the displacement d serve as scratch on the way
+            m *= b1
+            np.multiply(g, 1.0 - b1, d)
+            m += d
+            v *= b2
+            np.multiply(g, g, d)
+            d *= 1.0 - b2
+            v += d
+            np.divide(v, bc2, xn)
+            np.sqrt(xn, xn)
+            xn += eps
+            np.divide(m, bc1, d)
+            d *= -lr
+            d /= xn
+            np.add(x, d, xn)
+
         for p in self.params:
+            value = p.raw.value
             g = p.raw.grad
             if g is None:
-                g = np.zeros_like(p.raw.value)
+                g = np.zeros(value.shape)
             if not np.all(np.isfinite(g)):
                 raise RuntimeError(
                     f"non-finite gradient for parameter {p.name!r}"
                 )
-            # in place, with the rounding of b1 * m + (1 - b1) * g and
-            # -lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            m = self._m[p.name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v = self._v[p.name]
-            v *= b2
-            gg = g * g
-            gg *= 1.0 - b2
-            v += gg
-            delta = m / bc1
-            delta *= -self.lr
-            den = v / bc2
-            np.sqrt(den, out=den)
-            den += self.eps
-            delta /= den
-            p.raw.value = p.raw.value + delta
+            new, delta = np.empty(value.shape), np.empty(value.shape)
+            slot = (value, g, self._m[p.name], self._v[p.name], new, delta)
+            if value.size < SPLIT_ENTRIES:
+                update(*slot)
+            else:
+                flat = [a.reshape(-1) for a in slot]
+                par.run(lambda part: update(*(a[part.start:part.stop]
+                                              for a in flat)),
+                        par.split(value.size))
+            p.raw.value = new
             self._last_delta[p.name] = delta
 
     def delta(self, name: str, shape=None) -> np.ndarray:

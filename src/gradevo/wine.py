@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import par
 from .problems import BoxDomain, Problem
 from .tape import Tape, Var
 
@@ -186,7 +187,10 @@ def mlp_forward(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
 
     Returns ``(losses, h, r)``: the (k,) losses, the (k, n, n_hidden) tanh
     activations and the (k, n, 1) residuals prediction - target, which are
-    what the vjp of ``WineProblem.eval_pop`` reads.
+    what the vjp of ``WineProblem.eval_pop`` reads. The rows are
+    independent and ``par.run`` spreads them over the CPUs; each chunk
+    writes only its own rows of these buffers and squares residuals into
+    its own scratch, so the losses are bitwise the same at any pool width.
     """
     if X.ndim != 2 or X.shape[1] != spec.n_params:
         raise ValueError(f"params must be (k, {spec.n_params}), got {X.shape}")
@@ -196,15 +200,21 @@ def mlp_forward(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
     h = np.empty((k, n, spec.n_hidden))
     r = np.empty((k, n, 1))
     losses = np.empty(k)
-    for i in range(k):
-        p, hi, ri = X[i], h[i], r[i]
-        np.matmul(features, p[w1a:w1b].reshape(spec.n_in, spec.n_hidden), out=hi)
-        hi += p[b1a:b1b]
-        np.tanh(hi, out=hi)
-        np.matmul(hi, p[w2a:w2b].reshape(spec.n_hidden, 1), out=ri)
-        ri += p[b2a:b2b]
-        ri -= t
-        losses[i] = np.power(ri, 2.0).mean()
+
+    def rows(part, sq):
+        for i in part:
+            p, hi, ri = X[i], h[i], r[i]
+            np.matmul(features, p[w1a:w1b].reshape(spec.n_in, spec.n_hidden),
+                      out=hi)
+            hi += p[b1a:b1b]
+            np.tanh(hi, out=hi)
+            np.matmul(hi, p[w2a:w2b].reshape(spec.n_hidden, 1), out=ri)
+            ri += p[b2a:b2b]
+            ri -= t
+            losses[i] = np.power(ri, 2.0, out=sq).mean()
+
+    parts = par.split(k)
+    par.run(rows, parts, np.empty((len(parts), n, 1)))
     return losses, h, r
 
 
@@ -236,29 +246,43 @@ class WineProblem(Problem):
         return mlp_forward(X, self.features, self.targets, self.spec)[0]
 
     def _eval_pop(self, tape, X):
+        """The population's losses as one ``mlp_mse`` node.
+
+        Its vjp is the reverse of ``mlp_forward``, row by row, over the
+        rows whose loss gets a gradient; ``par.run`` spreads those rows
+        over the CPUs. Each chunk has its own scratch and writes only its
+        rows of the gradient, so the gradient is bitwise the same at any
+        pool width.
+        """
         xv, F = X.value, self.features
         losses, h, r = mlp_forward(xv, F, self.targets, self.spec)
         (w1a, w1b), (b1a, b1b), (w2a, w2b), (b2a, b2b) = self.spec.unpack_spans()
-        n_hidden = self.spec.n_hidden
+        n_in, n_hidden = self.spec.n_in, self.spec.n_hidden
         n = F.shape[0]
 
         def vjp(g):
-            # the reverse of mlp_forward, row by row; a row whose loss gets
-            # no gradient (every row but the winner under a "best" loss)
-            # keeps its zeros
+            # a row whose loss gets no gradient (every row but the winner
+            # under a "best" loss) keeps its zeros
             grad = np.zeros(xv.shape)
-            dh, d = np.empty((2, n, n_hidden))
-            for i in np.flatnonzero(g[:, 0]):
-                hi = h[i]
-                gs = (g[i, 0] / n) * 2.0 * r[i]
-                grad[i, w2a:w2b] = (hi.T @ gs).ravel()
-                grad[i, b2a] = gs.sum()
-                np.multiply(hi, hi, out=d)
-                np.subtract(1.0, d, out=d)
-                np.multiply(gs, xv[i, w2a:w2b], out=dh)   # the outer product gs W2ᵀ
-                np.multiply(dh, d, out=d)
-                grad[i, w1a:w1b] = (F.T @ d).ravel()
-                grad[i, b1a:b1b] = d.sum(axis=0)
+
+            def rows(part, gs, dh, d):
+                for i in part:
+                    hi = h[i]
+                    np.multiply((g[i, 0] / n) * 2.0, r[i], out=gs)
+                    np.matmul(hi.T, gs, out=grad[i, w2a:w2b].reshape(n_hidden, 1))
+                    grad[i, b2a] = gs.sum()
+                    np.multiply(hi, hi, out=d)
+                    np.subtract(1.0, d, out=d)
+                    # the outer product gs W2ᵀ
+                    np.multiply(gs, xv[i, w2a:w2b], out=dh)
+                    np.multiply(dh, d, out=d)
+                    np.matmul(F.T, d, out=grad[i, w1a:w1b].reshape(n_in, n_hidden))
+                    np.sum(d, axis=0, out=grad[i, b1a:b1b])
+
+            parts = par.split(np.flatnonzero(g[:, 0]))
+            m = len(parts)
+            par.run(rows, parts, np.empty((m, n, 1)),
+                    np.empty((m, n, n_hidden)), np.empty((m, n, n_hidden)))
             return (grad,)
 
         return tape._record("mlp_mse", losses.reshape(-1, 1), (X,), vjp)

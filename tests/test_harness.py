@@ -1,10 +1,16 @@
 """Experiment harness, summary statistics, SVG emitters, and the CLI."""
 
+import os
+import signal
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradevo
 from gradevo import cli
 from gradevo.harness import (
     ExperimentConfig,
@@ -20,6 +26,23 @@ from gradevo.plots import (
     quartiles,
     summary_stats,
 )
+
+
+SRC = str(Path(gradevo.__file__).resolve().parents[1])
+
+
+def python(code, *args, env=None, timeout=120):
+    """Run ``code`` in a fresh interpreter that imports gradevo from SRC;
+    on timeout kill it together with the processes it forked."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=SRC)
+    proc = subprocess.Popen([sys.executable, "-c", code, *map(str, args)],
+                            env=env, start_new_session=True)
+    try:
+        assert proc.wait(timeout=timeout) == 0
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
 
 
 def tiny_cfg(out_dir, **over):
@@ -135,6 +158,10 @@ def test_experiment_writes_runs_summary_and_timing(tmp_path):
     assert cols["failed"] == "0"
     assert float(cols["mean"]) == stats.mean
 
+    log = (exp_dir / "timing.log").read_text().splitlines()
+    assert f"pool_threads={len(os.sched_getaffinity(0))}" in log
+    assert "blas_threads=1" in log
+
 
 def test_same_seed_reruns_are_byte_identical(tmp_path):
     cfg_a = tiny_cfg(tmp_path / "a")
@@ -152,6 +179,44 @@ def test_parallel_workers_match_serial(tmp_path):
     )
     for name in ("run_000.csv", "run_001.csv"):
         assert (dir_s / name).read_bytes() == (dir_p / name).read_bytes(), name
+
+
+def test_worker_processes_forked_after_the_pool_ran_do_not_hang(tmp_path):
+    # a forked child has none of its parent's pool threads: work it gave
+    # to the inherited pool would wait forever
+    python("""
+import sys
+from gradevo import par
+from gradevo.harness import ExperimentConfig, run_experiment
+par._width = 2
+par.run(lambda part: None, par.split(2))
+assert par._pool is not None
+for workers in (2, 1):
+    run_experiment(ExperimentConfig(
+        algo="cmaes-diff", problem="wine", pop=4, budget=8, runs=2,
+        workers=workers, out_dir=f"{sys.argv[1]}/w{workers}"), quiet=True)
+""", tmp_path)
+    for name in ("run_000.csv", "run_001.csv", "summary.csv"):
+        serial = tmp_path / "w1" / "cmaes-diff-wine" / name
+        forked = tmp_path / "w2" / "cmaes-diff-wine" / name
+        assert forked.read_bytes() == serial.read_bytes(), name
+
+
+def test_blas_thread_count_does_not_change_the_bytes(tmp_path):
+    # given two threads, OpenBLAS rounds the linear algebra of a d = 100
+    # cmaes-diff generation differently: the CSVs differ from their third
+    # line unless run_experiment pins it to one
+    run = ("import sys\nfrom gradevo import cli\n"
+           "cli.main(['run', '--algo', 'cmaes-diff', '--problem', "
+           "'michalewicz', '--dim', '100', '--budget', '300', '--runs', '1', "
+           "'--out-dir', sys.argv[1]])")
+    for threads in ("1", "2"):
+        python(run, tmp_path / threads,
+               env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+    for name in ("run_000.csv", "summary.csv"):
+        one, two = (tmp_path / t / "cmaes-diff-michalewicz-d100" / name
+                    for t in ("1", "2"))
+        assert two.read_bytes() == one.read_bytes(), name
 
 
 def test_load_experiment_roundtrip(tmp_path):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from gradevo import par
 from gradevo.diffevo import DiffCmaes, DiffPso
 from gradevo.classic import ClassicPso
-from gradevo.outer import Adam, PlateauScheduler, run_loop
+from gradevo.outer import SPLIT_ENTRIES, Adam, PlateauScheduler, run_loop
 from gradevo.problems import make_problem
 from gradevo.relax import Rng
 from gradevo.tape import Tape
@@ -46,6 +47,52 @@ def test_adam_rejects_non_finite_gradient():
     opt = Adam([p])
     with pytest.raises(RuntimeError, match="omega"):
         opt.step()
+
+
+def serial_adam(value, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The unchunked Adam update, written out: (value, last delta)."""
+    m = np.zeros_like(value)
+    v = np.zeros_like(value)
+    for t, g in enumerate(grads, start=1):
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        gg = g * g
+        gg *= 1.0 - b2
+        v += gg
+        delta = m / bc1
+        delta *= -lr
+        den = v / bc2
+        np.sqrt(den, out=den)
+        den += eps
+        delta /= den
+        value = value + delta
+    return value, delta
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_adam_step_is_bitwise_the_serial_formula(monkeypatch, width):
+    monkeypatch.setattr(par, "_width", width)
+    rng = np.random.default_rng(width)
+    shapes = {"big": (1, SPLIT_ENTRIES + 12345), "small": (3, 7)}
+    start = {n: rng.normal(size=s) for n, s in shapes.items()}
+    grads = {n: [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3, size=s)
+                 for _ in range(3)] for n, s in shapes.items()}
+    tape = Tape()
+    params = [tape.param(n, start[n]) for n in shapes]
+    opt = Adam(params, lr=0.05)
+    for step in range(3):
+        for p in params:
+            p.raw.grad = grads[p.name][step]
+        opt.step()
+    for p in params:
+        want, want_delta = serial_adam(start[p.name], grads[p.name], 0.05)
+        np.testing.assert_array_equal(p.raw.value.view(np.int64),
+                                      want.view(np.int64))
+        np.testing.assert_array_equal(opt.delta(p.name).view(np.int64),
+                                      want_delta.view(np.int64))
 
 
 def test_adam_validates_learning_rate_and_delta_lookup():

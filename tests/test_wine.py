@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradevo import par
 from gradevo.harness import ExperimentConfig, run_single, synthetic_wine_path
 from gradevo.tape import Tape
 from gradevo.wine import (
@@ -114,6 +115,27 @@ def test_tape_forward_matches_array_reference(table):
     fit = prob.eval_pop(t, t.constant(X))
     assert fit.shape == (30, 1)
     np.testing.assert_array_equal(fit.value.ravel(), prob.eval_array(X))
+
+
+@pytest.mark.parametrize("reduce", ["mean", "best"])
+@pytest.mark.parametrize("k", [30, 7, 1])
+def test_losses_and_gradient_are_bitwise_equal_at_any_pool_width(
+        table, monkeypatch, k, reduce):
+    prob = WineProblem.from_file(table, noise_seed=0)
+    X = np.random.default_rng(k).uniform(-10, 10, size=(k, 1665))
+    bits = []
+    for width in (1, 2, 3):
+        monkeypatch.setattr(par, "_width", width)
+        t = Tape()
+        px = t.param("x", X)
+        fit = prob.eval_pop(t, px.raw)
+        t.backward(t.mean(fit) if reduce == "mean" else t.min_with_index(fit)[0])
+        bits.append([a.view(np.int64) for a in
+                     (fit.value, px.raw.grad, prob.eval_array(X))])
+    assert bits[0][1].any()
+    for other in bits[1:]:
+        for want, got in zip(bits[0], other):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_mlp_forward_rejects_wrong_width():
