@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtpqrt
 
 from . import kernels
 from .problems import Problem
 from .relax import Rng
+from .tape import _sigmoid, tril_index, unpack_lower
 
 
 @dataclass(frozen=True)
@@ -146,6 +147,114 @@ class BoxPenalty:
         """Grow the weights of the coordinates where the new mean is out."""
         dom = self.domain
         self.boost[(mean < dom.lower) | (mean > dom.upper)] *= self.grow
+
+
+class CmaState:
+    """The one CMA-ES update of both CMA-ES variants: evolution paths,
+    cumulative step-size adaptation (at most a factor of e per generation,
+    sigma floored above zero), the h_sigma stall gate and the rank-one plus
+    rank-mu update of the Cholesky factor (Hansen, arXiv:1604.00772). The
+    caller holds the factor as its lower triangle packed row by row into a
+    (1, d(d+1)/2) row (``tape.tril_index`` order).
+
+    The new covariance is a L Lᵀ + U Uᵀ, with L the given factor, a > 0,
+    and U holding the lambda + 1 rank-one and rank-mu columns. When
+    lambda + 1 < d its factor comes from a QR of [sqrt(a) Lᵀ; Uᵀ] (Igel,
+    Suttorp & Hansen, GECCO 2006), O(lambda d²) without forming C; otherwise
+    C is rebuilt as L Lᵀ, combined and refactored by
+    ``cholesky_with_jitter``, which is cheaper when U has as many columns as
+    C. Either path raises RuntimeError when the factor is not finite.
+    """
+
+    def __init__(self, domain, lam: int):
+        self.k = cma_constants(domain.dim, lam)
+        self.box = BoxPenalty(domain)
+        self.mean_diag_c = 1.0          # mean(diag C) of the committed factor
+        self.p_sigma = np.zeros(domain.dim)
+        self.p_c = np.zeros(domain.dim)
+        self.gen_count = 0
+
+    def rank_weights(self, sel_fit: np.ndarray) -> np.ndarray:
+        """The log-rank weights on the mu lowest values of ``sel_fit`` (ties
+        to the earlier draw) and zero on the rest."""
+        w = np.zeros(sel_fit.shape[0])
+        w[np.argsort(sel_fit, kind="stable")[: self.k.mu]] = self.k.weights
+        return w
+
+    def commit(self, X: np.ndarray, z: np.ndarray, w: np.ndarray,
+               mu_prev: np.ndarray, sigma_prev: float, sigma: float,
+               packed: np.ndarray, soft_gate: bool = False):
+        """Update from the unclipped draws X = mu_prev + sigma_prev (L z)ᵀ
+        (lambda, d), their normal draws z (d, lambda) and recombination
+        weights w over all lambda rows, applied to a step size sigma and a
+        packed factor that may have moved since the draws. Returns the
+        candidate mean w X, the new sigma and the new packed factor.
+        ``soft_gate`` replaces the binary h_sigma by a logistic one."""
+        k = self.k
+        d = X.shape[1]
+        mu_cand = w @ X
+
+        # the conjugate path uses the weighted raw draws directly, which
+        # equals whitening the selection shift, but cannot be amplified by a
+        # factor the gradient steps have made ill conditioned. mu_eff comes
+        # from the realized weights (1 / sum w^2), which keeps the path
+        # input at unit variance under random selection whatever the
+        # weights are; the fixed log-rank constants only set the time scales
+        dz = z @ w
+        cs = k.c_sigma
+        mu_eff_t = 1.0 / float(w @ w)
+        self.p_sigma = (1.0 - cs) * self.p_sigma + math.sqrt(
+            cs * (2.0 - cs) * mu_eff_t
+        ) * dz
+
+        self.gen_count += 1
+        norm = float(np.linalg.norm(self.p_sigma))
+        denom = math.sqrt(1.0 - (1.0 - cs) ** (2 * self.gen_count))
+        thresh = (1.4 + 2.0 / (d + 1.0)) * k.chi_n
+        if soft_gate:
+            # 1 when the path is clearly short, 0 when long
+            h_sig = float(_sigmoid(
+                np.array(10.0 * (thresh - norm / denom) / k.chi_n)))
+        else:
+            h_sig = 1.0 if norm / denom < thresh else 0.0
+
+        cc = k.c_c
+        self.p_c = (1.0 - cc) * self.p_c + h_sig * math.sqrt(
+            cc * (2.0 - cc) * mu_eff_t
+        ) * ((mu_cand - mu_prev) / sigma_prev)
+
+        Y = (X - mu_prev) / sigma_prev
+        delta_h = (1.0 - h_sig) * cc * (2.0 - cc)
+        if X.shape[0] + 1 < d:
+            # the R of a QR of [sqrt(a) Lᵀ; Uᵀ] has RᵀR = a L Lᵀ + U Uᵀ = C_new;
+            # sqrt(a) scales the factor while it is still packed
+            a = 1.0 - k.c_1 - k.c_mu + k.c_1 * delta_h
+            Ut = np.vstack([math.sqrt(k.c_1) * self.p_c,
+                            np.sqrt(k.c_mu * w)[:, None] * Y])
+            sLt = unpack_lower(math.sqrt(a) * packed, d).T
+            R, _, _, info = dtpqrt(0, min(32, d), sLt, Ut,
+                                   overwrite_a=1, overwrite_b=1)
+            if info != 0:
+                raise RuntimeError(f"covariance factor update failed: info {info}")
+            # cholesky_with_jitter checks its factor; dtpqrt takes a NaN
+            L_new = _finite_factor(R.T * np.where(np.diag(R) < 0.0, -1.0, 1.0))
+            self.mean_diag_c = float(np.vdot(L_new, L_new)) / d
+        else:
+            L = unpack_lower(packed, d)
+            C = L @ L.T
+            rank_mu = Y.T @ (w[:, None] * Y)
+            C_new = (
+                (1.0 - k.c_1 - k.c_mu) * C
+                + k.c_1 * (np.outer(self.p_c, self.p_c) + delta_h * C)
+                + k.c_mu * rank_mu
+            )
+            C_new = 0.5 * (C_new + C_new.T)
+            L_new = cholesky_with_jitter(C_new)
+            self.mean_diag_c = float(np.trace(C_new)) / d
+
+        csa_log = min(1.0, max(-1.0, (cs / k.d_sigma) * (norm / k.chi_n - 1.0)))
+        sigma_new = max(sigma * math.exp(csa_log), 1e-300)
+        return mu_cand, sigma_new, L_new.take(tril_index(d)).reshape(1, -1)
 
 
 class ClassicPso:
@@ -400,14 +509,13 @@ class ClassicDe:
 
 class ClassicCmaes:
     """CMA-ES with cumulative step-size adaptation and rank-one plus rank-mu
-    covariance updates.
-
-    Sampling goes through the lower Cholesky factor of C; the conjugate
-    evolution path is whitened with a triangular solve against that same
-    factor. The box is handled by ``BoxPenalty``: offspring are evaluated at
-    their clipped points, ranked by that fitness plus the distance penalty,
-    and the distribution is updated from the unclipped offspring. The best
-    point reported is a clipped one with its unpenalised fitness.
+    covariance updates (``CmaState``), recombining the best half with the
+    log-rank weights. The covariance is kept only as its packed lower
+    Cholesky factor ``L``. The box is handled by ``BoxPenalty``: offspring
+    are evaluated at their clipped points, ranked by that fitness plus the
+    distance penalty, and the distribution is updated from the unclipped
+    offspring. The best point reported is a clipped one with its
+    unpenalised fitness.
     """
 
     name = "cmaes"
@@ -426,23 +534,8 @@ class ClassicCmaes:
             if mean0 is not None else dom.sample(rng, 1)[0]
         )
         self.sigma = float(sigma0) if sigma0 else 0.3 * float(dom.width.max())
-        self.box = BoxPenalty(dom)
-
-        k = cma_constants(d, self.pop_size)
-        self.mu = k.mu
-        self.weights = k.weights
-        self.mu_eff = k.mu_eff
-        self.c_sigma = k.c_sigma
-        self.d_sigma = k.d_sigma
-        self.c_c = k.c_c
-        self.c_1 = k.c_1
-        self.c_mu = k.c_mu
-        self.chi_n = k.chi_n
-
-        self.C = np.eye(d)
-        self.p_sigma = np.zeros(d)
-        self.p_c = np.zeros(d)
-        self.gen_count = 0
+        self.L = np.eye(d).take(tril_index(d)).reshape(1, -1)
+        self.cma = CmaState(dom, self.pop_size)
         self.best_x = None
         self.best_fitness = math.inf
 
@@ -452,56 +545,29 @@ class ClassicCmaes:
     def hyperparams(self) -> dict:
         return {"sigma": self.sigma}
 
+    def factor(self) -> np.ndarray:
+        """The current factor L as a C-contiguous (d, d) lower-triangular
+        matrix."""
+        return unpack_lower(self.L, self.problem.dim)
+
     def generation(self, noise: dict = None) -> float:
         if noise is None:
             noise = self.draw_noise()
-        d = self.problem.dim
-        L = cholesky_with_jitter(self.C)
-        Y = (L @ noise["z"]).T                      # (lam, d)
-        X = self.mean + self.sigma * Y
+        cma = self.cma
+        z = noise["z"]
+        X = self.mean + self.sigma * (self.factor() @ z).T      # (lam, d)
         Xc = self.problem.domain.clip(X)
-        gap2 = (X - Xc) ** 2
         fit = self.problem.eval_array(Xc)
-        order = np.argsort(fit, kind="stable")
-        if gap2.any():
-            gamma = self.box.weights(fit[order], self.sigma, np.trace(self.C) / d)
-            order = np.argsort(fit + gap2 @ gamma, kind="stable")
-        sel = order[: self.mu]
+        sel_fit = fit
+        if np.any(X != Xc):
+            gamma = cma.box.weights(np.sort(fit), self.sigma, cma.mean_diag_c)
+            gap = X - Xc
+            sel_fit = fit + (gap * gap * gamma).sum(axis=1)
 
-        mean_old = self.mean
-        mean_new = self.weights @ X[sel]
-        y_w = (mean_new - mean_old) / self.sigma
-
-        # whiten the mean shift with the sampling factor: L dz = y_w
-        dz = solve_triangular(L, y_w, lower=True)
-        cs = self.c_sigma
-        self.p_sigma = (1.0 - cs) * self.p_sigma + math.sqrt(
-            cs * (2.0 - cs) * self.mu_eff
-        ) * dz
-
-        self.gen_count += 1
-        norm = np.linalg.norm(self.p_sigma)
-        denom = math.sqrt(1.0 - (1.0 - cs) ** (2 * self.gen_count))
-        h_sigma = 1.0 if norm / denom < (1.4 + 2.0 / (d + 1.0)) * self.chi_n else 0.0
-
-        cc = self.c_c
-        self.p_c = (1.0 - cc) * self.p_c + h_sigma * math.sqrt(
-            cc * (2.0 - cc) * self.mu_eff
-        ) * y_w
-
-        Ysel = (X[sel] - mean_old) / self.sigma
-        rank_mu = Ysel.T @ (self.weights[:, None] * Ysel)
-        delta_h = (1.0 - h_sigma) * cc * (2.0 - cc)
-        self.C = (
-            (1.0 - self.c_1 - self.c_mu) * self.C
-            + self.c_1 * (np.outer(self.p_c, self.p_c) + delta_h * self.C)
-            + self.c_mu * rank_mu
-        )
-        self.C = 0.5 * (self.C + self.C.T)
-
-        self.sigma *= math.exp((cs / self.d_sigma) * (norm / self.chi_n - 1.0))
-        self.mean = mean_new
-        self.box.observe(mean_new)
+        self.mean, self.sigma, self.L = cma.commit(
+            X, z, cma.rank_weights(sel_fit), self.mean, self.sigma, self.sigma,
+            self.L)
+        cma.box.observe(self.mean)
 
         b = int(np.argmin(fit))
         if fit[b] < self.best_fitness:

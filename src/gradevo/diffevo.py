@@ -28,9 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtpqrt
 
-from .classic import BoxPenalty, cholesky_with_jitter, cma_constants
+from .classic import CmaState
+# importable from here by name: perfbench/spans.py wraps
+# diffevo.cholesky_with_jitter
+from .classic import cholesky_with_jitter  # noqa: F401
 from .problems import Problem
 from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
 from .tape import Tape, Var, _sigmoid, tril_index, unpack_lower
@@ -480,24 +482,14 @@ class DiffCmaes(DiffAlgorithm):
     on the tape, so the loss differentiates with respect to mu, log(sigma)
     and the packed entries of L through the penalty wherever the clamp
     passes no gradient.
-    After the optimizer has stepped those slots, the commit performs the
-    classical machinery at detached values of the unclamped draws: softmax
-    recombination weights over standardized penalized fitness give the
-    candidate mean (committed as candidate plus the mean's own
-    displacement), the evolution paths advance with a logistic-smoothed
-    stall gate instead of the binary one, the covariance of the stepped
-    factor receives the rank-one and rank-mu terms, cumulative step-size
-    adaptation multiplies the stepped sigma, and the Cholesky factor of the
-    new covariance is packed back into the trainable factor slot. The best
-    point tracked is a clamped one with its unpenalised fitness.
-
-    The new covariance is a L Lᵀ + U Uᵀ, with L the stepped factor,
-    a > 0, and U holding the lambda + 1 rank-one and rank-mu columns. When
-    lambda + 1 < d its factor comes from a QR of [sqrt(a) Lᵀ; Uᵀ] (Igel,
-    Suttorp & Hansen, GECCO 2006), O(lambda d²) without forming C; otherwise
-    C is rebuilt as L Lᵀ, combined and refactored by
-    ``cholesky_with_jitter``, which is cheaper when U has as many columns as
-    C. Either path raises RuntimeError when the factor is not finite.
+    After the optimizer has stepped those slots, ``CmaState.commit``
+    applies the classical update to the stepped sigma and factor at
+    detached values of the unclamped draws, with softmax recombination
+    weights over standardized penalized fitness and a logistic h_sigma
+    gate. ``hard_selection`` gives the log-rank weights and the binary
+    gate instead, so at learning rate zero the run is classical CMA-ES.
+    The mean commits as candidate plus its own displacement. The best point
+    tracked is a clamped one with its unpenalised fitness.
     """
 
     name = "cmaes-diff"
@@ -517,12 +509,7 @@ class DiffCmaes(DiffAlgorithm):
         self.p_log_sigma = self.tape.param("log_sigma", [[math.log(sigma)]])
         self.p_L = self.tape.param(
             "L", np.eye(dim).take(tril_index(dim)).reshape(1, -1))
-        self.k = cma_constants(dim, lam)
-        self.box = BoxPenalty(dom)
-        self.mean_diag_c = 1.0          # mean(diag C) of the committed factor
-        self.p_sigma = np.zeros(dim)
-        self.p_c = np.zeros(dim)
-        self.gen_count = 0
+        self.cma = CmaState(dom, lam)
 
     def draw_noise(self) -> dict:
         return {"z": self.rng.normal(self.problem.dim, self.pop_size)}
@@ -540,6 +527,7 @@ class DiffCmaes(DiffAlgorithm):
             noise = self.draw_noise()
         t = self.tape
         dom = self.problem.domain
+        cma = self.cma
 
         z = noise["z"]
         Lm = t.lower_tri(self.p_L.raw, self.problem.dim)
@@ -552,8 +540,8 @@ class DiffCmaes(DiffAlgorithm):
 
         sel = fit
         if np.any(Xs.value != Xc.value):
-            gamma = self.box.weights(np.sort(f), float(sigma.value[0, 0]),
-                                     self.mean_diag_c)
+            gamma = cma.box.weights(np.sort(f), float(sigma.value[0, 0]),
+                                    cma.mean_diag_c)
             gap = t.sub(Xs, Xc)
             pen = t.mul_rowvec(t.mul(gap, gap), t.constant(gamma.reshape(1, -1)))
             sel = t.add(fit, t.row_sum(pen))
@@ -571,97 +559,31 @@ class DiffCmaes(DiffAlgorithm):
 
     def update_state(self, optimizer=None) -> None:
         st = self._need_staged()
-        k = self.k
+        cma = self.cma
         d = self.problem.dim
         fit = st["sel_fit"]
-        X = st["x_raw"]
-        mu_prev = st["mu_prev"]
-        sigma_prev = st["sigma_prev"]
-
-        # learned recombination: softmax over negated standardized fitness
+        hard = self.cfg.relax.hard_selection
         spread = fit.std()
-        if spread < 1e-300:
+        if hard:
+            w = cma.rank_weights(fit)
+        elif spread < 1e-300:
             w = np.full(fit.shape[0], 1.0 / fit.shape[0])
         else:
+            # learned recombination: softmax over negated standardized fitness
             s = -(fit - fit.mean()) / spread / self.cfg.relax.tau
             s = s - s.max()
             e = np.exp(s)
             w = e / e.sum()
 
-        mu_cand = w @ X
+        mu_cand, sigma_new, packed = cma.commit(
+            st["x_raw"], st["z"], w, st["mu_prev"], st["sigma_prev"],
+            float(np.exp(self.p_log_sigma.raw.value[0, 0])), self.p_L.raw.value,
+            soft_gate=not hard)
         mu_new = mu_cand + self._delta(optimizer, "mu", mu_cand.reshape(1, d)).ravel()
         self.p_mu.raw.value = mu_new.reshape(1, d)
-        self.box.observe(mu_new)
-
-        # the conjugate path uses the weighted raw draws directly, which
-        # equals whitening the selection shift, but cannot be amplified by a
-        # factor the gradient steps have made ill conditioned; the gradient
-        # displacement of the mean never feeds CSA (its chi_n calibration
-        # assumes selection moves). mu_eff comes from the realized weights
-        # (1 / sum w^2), which keeps the path input at unit variance under
-        # random selection whatever the softmax spread is; the fixed
-        # log-rank constants only set the time scales
-        dz = st["z"] @ w
-        cs = k.c_sigma
-        mu_eff_t = 1.0 / float(w @ w)
-        self.p_sigma = (1.0 - cs) * self.p_sigma + math.sqrt(
-            cs * (2.0 - cs) * mu_eff_t
-        ) * dz
-
-        self.gen_count += 1
-        norm = float(np.linalg.norm(self.p_sigma))
-        denom = math.sqrt(1.0 - (1.0 - cs) ** (2 * self.gen_count))
-        thresh = (1.4 + 2.0 / (d + 1.0)) * k.chi_n
-        # smoothed stall gate: 1 when the path is clearly short, 0 when long
-        h_sig = float(_sigmoid(np.array(10.0 * (thresh - norm / denom) / k.chi_n)))
-
-        cc = k.c_c
-        delta_mu = mu_cand - mu_prev       # selection shift, gradient excluded
-        self.p_c = (1.0 - cc) * self.p_c + h_sig * math.sqrt(
-            cc * (2.0 - cc) * mu_eff_t
-        ) * (delta_mu / sigma_prev)
-
-        Y = (X - mu_prev) / sigma_prev
-        delta_h = (1.0 - h_sig) * cc * (2.0 - cc)
-        if self.pop_size + 1 < d:
-            # the R of a QR of [sqrt(a) Lᵀ; Uᵀ] has RᵀR = a L Lᵀ + U Uᵀ = C_new;
-            # sqrt(a) scales the stepped factor while it is still packed
-            a =1.0 - k.c_1 - k.c_mu + k.c_1 * delta_h
-            Ut = np.vstack([math.sqrt(k.c_1) * self.p_c,
-                            np.sqrt(k.c_mu * w)[:, None] * Y])
-            sLt = unpack_lower(math.sqrt(a) * self.p_L.raw.value, d).T
-            R, _, _, info = dtpqrt(0, min(32, d), sLt, Ut,
-                                   overwrite_a=1, overwrite_b=1)
-            if info != 0:
-                raise RuntimeError(f"covariance factor update failed: info {info}")
-            L_new = R.T * np.where(np.diag(R) < 0.0, -1.0, 1.0)
-            mean_diag_c = float(np.vdot(L_new, L_new)) / d
-        else:
-            L_stepped = self.factor()
-            C = L_stepped @ L_stepped.T
-            rank_mu = Y.T @ (w[:, None] * Y)
-            C_new = (
-                (1.0 - k.c_1 - k.c_mu) * C
-                + k.c_1 * (np.outer(self.p_c, self.p_c) + delta_h * C)
-                + k.c_mu * rank_mu
-            )
-            C_new = 0.5 * (C_new + C_new.T)
-            L_new = cholesky_with_jitter(C_new)
-            mean_diag_c = float(np.trace(C_new)) / d
-        # cholesky_with_jitter checks its own factor; dtpqrt does not reject
-        # a NaN input
-        if not np.all(np.isfinite(np.diag(L_new))):
-            raise RuntimeError("covariance factor has a non-finite diagonal")
-
-        sigma_stepped = float(np.exp(self.p_log_sigma.raw.value[0, 0]))
-        # bound the CSA multiplier: one generation must not change sigma by
-        # more than a factor of e, whatever the path norm does
-        csa_log = min(1.0, max(-1.0, (cs / k.d_sigma) * (norm / k.chi_n - 1.0)))
-        sigma_new = sigma_stepped * math.exp(csa_log)
-        sigma_new = max(sigma_new, 1e-300)
+        cma.box.observe(mu_new)
         self.p_log_sigma.raw.value = np.array([[math.log(sigma_new)]])
-        self.p_L.raw.value = L_new.take(tril_index(d)).reshape(1, -1)
-        self.mean_diag_c = mean_diag_c
+        self.p_L.raw.value = packed
 
         self._track_best(st["x_values"], st["fit"])
         self._staged = None

@@ -84,7 +84,8 @@ class ExperimentConfig:
     hard_masks: bool = _flag(
         True, "straight-through masks instead of soft blends")
     hard_selection: bool = _flag(
-        False, "straight-through parent selection instead of soft mixtures")
+        False, "straight-through parent selection instead of soft mixtures, "
+               "and cmaes-diff's classical recombination and h_sigma gate")
     patience: int = _flag(100, "plateau generations before the lr halves")
     lr_factor: float = 0.5
     min_lr: float = 1e-5

@@ -73,8 +73,10 @@ class RelaxConfig:
 
     ``tau`` is the relaxation temperature (fixed, not learned).
     ``hard_masks`` switches Bernoulli gates to straight-through hard 0/1
-    forwards. ``hard_selection`` does the same for categorical parent picks;
-    the default keeps selection soft (mixtures).
+    forwards. ``hard_selection`` does the same for categorical parent picks,
+    and makes ``DiffCmaes`` recombine with the classical log-rank weights
+    and the binary h_sigma gate; the default keeps selection soft
+    (mixtures, softmax recombination, a logistic gate).
     """
 
     tau: float = 1.0

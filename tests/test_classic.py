@@ -17,6 +17,7 @@ from gradevo.classic import (
 )
 from gradevo.problems import make_problem
 from gradevo.relax import Rng
+from gradevo.tape import tril_index
 
 
 # --- operator oracles -------------------------------------------------------
@@ -155,7 +156,7 @@ def test_cholesky_with_jitter_rejects_a_nan_covariance():
 def test_cmaes_generation_fails_on_a_nan_covariance():
     algo = ClassicCmaes(make_problem("sphere", 5), pop_size=8, rng=Rng(0))
     algo.generation()
-    algo.C[2, 2] = np.nan
+    algo.L[0, list(tril_index(5)).index(2 * 5 + 2)] = np.nan    # L[2, 2]
     with pytest.raises(RuntimeError, match="non-finite"):
         algo.generation()
 
@@ -261,8 +262,9 @@ def test_cmaes_invariants_over_generations():
         best = algo.generation()
         assert best <= prev + 1e-15
         prev = best
-        np.testing.assert_allclose(algo.C, algo.C.T, atol=1e-10)
-        assert np.all(np.linalg.eigvalsh(algo.C) > 0)
+        L = algo.factor()
+        assert np.all(np.triu(L, 1) == 0.0)
+        assert np.all(np.isfinite(np.diag(L))) and np.all(np.diag(L) > 0.0)
         assert algo.sigma > 0
 
 
@@ -300,7 +302,7 @@ def test_cmaes_ranks_outside_samples_by_penalty():
     algo.generation()
     assert np.linalg.norm(algo.mean - 100.0) < np.linalg.norm([50.0] * 3)
     assert np.all(algo.mean > 100.0)
-    assert algo.box.unit == 1.0     # zero fitness spread keeps the fallback
+    assert algo.cma.box.unit == 1.0     # zero fitness spread keeps the fallback
     np.testing.assert_allclose(algo.best_x, np.full(3, 100.0))
     assert algo.best_fitness == 30_000.0
 

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from gradevo import diffevo
-from gradevo.classic import ClassicDe, ClassicPso
+from gradevo import classic
+from gradevo.classic import ClassicCmaes, ClassicDe, ClassicPso
 from gradevo.diffevo import DiffCmaes, DiffConfig, DiffDe, DiffGa, DiffPso
 from gradevo.outer import Adam, run_loop
 from gradevo.problems import make_problem
 from gradevo.relax import RelaxConfig, Rng
+from gradevo.tape import unpack_lower
 
 ALGOS = {
     "pso-diff": DiffPso,
@@ -83,6 +84,46 @@ def test_de_matches_classical_with_shared_noise():
         np.testing.assert_allclose(diff.pX.raw.value, classic.X, atol=1e-10)
         np.testing.assert_allclose(diff.fit, classic.fit, atol=1e-10)
         assert abs(diff.best_fitness - classic.best_fitness) < 1e-10
+
+
+def _diff_step(algo, opt, noise=None):
+    """One DiffCmaes generation committed after an optimizer step."""
+    algo.tape.zero_grad()
+    loss = algo.generation(noise)
+    algo.tape.backward(loss)
+    opt.step()
+    algo.update_state(opt)
+    algo.tape.reset()
+
+
+@pytest.mark.parametrize("problem, d, pop, sigma0", [
+    ("sphere", 10, 6, None),        # pop + 1 < d: the QR factor update
+    ("ackley", 5, 8, 150.0),        # the rebuild path
+])
+def test_cmaes_hard_limit_matches_classical_with_shared_noise(
+        problem, d, pop, sigma0):
+    # hard selection gives the log-rank weights and the binary h_sigma
+    # gate, so at lr 0 the differentiable commit is the classical one
+    rng = Rng(0)
+    mean0 = make_problem(problem, d).domain.sample(rng, 1)[0]
+    ref = ClassicCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(1),
+                       sigma0=sigma0, mean0=mean0)
+    cfg = DiffConfig(relax=RelaxConfig(hard_selection=True))
+    diff = DiffCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(2),
+                     cfg=cfg, sigma0=sigma0, mean0=mean0)
+    opt = Adam(diff.parameters(), lr=0.0)
+    for _ in range(3):
+        noise = {"z": rng.normal(d, pop)}
+        ref.generation(dict(noise))
+        _diff_step(diff, opt, dict(noise))
+        np.testing.assert_allclose(diff.p_mu.raw.value.ravel(), ref.mean,
+                                   rtol=0.0, atol=1e-10)
+        assert abs(diff.hyperparams()["sigma"] - ref.sigma) < 1e-10
+        np.testing.assert_allclose(diff.factor(), ref.factor(),
+                                   rtol=0.0, atol=1e-10)
+        assert abs(diff.best_fitness - ref.best_fitness) < 1e-10
+    # samples clipped: the penalty set a weight from a positive fitness spread
+    assert ref.cma.box.unit != 1.0
 
 
 # --- gradients exist and flow to the learnable knobs -------------------------
@@ -274,62 +315,83 @@ def test_cmaes_penalty_gradient_points_into_box():
 
 # --- CMA-ES factor commit ------------------------------------------------------
 
-def _cmaes_generations(d, pop, n_gens, on_commit=None):
-    """Run n_gens lr-1.0 generations of DiffCmaes on sphere-d; on_commit sees
-    the algorithm, the stepped factor and the staged values after each
-    commit."""
+def _cmaes_generations(cls, d, pop, n_gens, on_commit=None):
+    """Run n_gens generations of cls on sphere-d, DiffCmaes at lr 1.0;
+    on_commit sees the algorithm, its staged values (None for ClassicCmaes)
+    and the arguments of the generation's ``CmaState.commit``."""
     prob = make_problem("sphere", d)
-    algo = DiffCmaes(prob, pop_size=pop, rng=Rng(0))
-    opt = Adam(algo.parameters(), lr=1.0)
+    algo = cls(prob, pop_size=pop, rng=Rng(0))
+    calls = []
+    commit = algo.cma.commit
+
+    def spy(*args, **kwargs):
+        calls.append((getattr(algo, "_staged", None), args, kwargs))
+        return commit(*args, **kwargs)
+
+    algo.cma.commit = spy
+    opt = Adam(algo.parameters(), lr=1.0) if cls is DiffCmaes else None
     for _ in range(n_gens):
-        algo.tape.zero_grad()
-        loss = algo.generation()
-        algo.tape.backward(loss)
-        opt.step()
-        L_stepped = algo.factor()
-        st = dict(algo._staged)
-        algo.update_state(opt)
-        algo.tape.reset()
+        if opt is None:
+            algo.generation()
+        else:
+            _diff_step(algo, opt)
         if on_commit is not None:
-            on_commit(algo, L_stepped, st)
+            staged, args, kwargs = calls[-1]
+            on_commit(algo, dict(staged or {}), *args, **kwargs)
     return algo
 
 
-def _commit_target(algo, L_stepped, st):
-    """a L_s L_sᵀ + U Uᵀ assembled densely from the committed paths."""
-    k, d = algo.k, algo.problem.dim
-    fit = st["sel_fit"]
-    s = -(fit - fit.mean()) / fit.std() / algo.cfg.relax.tau
-    w = np.exp(s - s.max())
-    w /= w.sum()
-    norm = np.linalg.norm(algo.p_sigma)
-    denom = math.sqrt(1.0 - (1.0 - k.c_sigma) ** (2 * algo.gen_count))
+def _commit_target(cma, X, z, w, mu_prev, sigma_prev, sigma, packed,
+                   soft_gate=False):
+    """a L_s L_sᵀ + U Uᵀ assembled densely from the committed paths, the
+    factor L_s and the weights w the commit was given."""
+    k, d = cma.k, X.shape[1]
+    norm = np.linalg.norm(cma.p_sigma)
+    denom = math.sqrt(1.0 - (1.0 - k.c_sigma) ** (2 * cma.gen_count))
     thresh = (1.4 + 2.0 / (d + 1.0)) * k.chi_n
-    h_sig = 1.0 / (1.0 + math.exp(-10.0 * (thresh - norm / denom) / k.chi_n))
+    if soft_gate:
+        h_sig = 1.0 / (1.0 + math.exp(-10.0 * (thresh - norm / denom) / k.chi_n))
+    else:
+        h_sig = 1.0 if norm / denom < thresh else 0.0
     a = 1.0 - k.c_1 - k.c_mu + k.c_1 * (1.0 - h_sig) * k.c_c * (2.0 - k.c_c)
-    Y = (st["x_raw"] - st["mu_prev"]) / st["sigma_prev"]
-    U = np.column_stack([math.sqrt(k.c_1) * algo.p_c,
+    Y = (X - mu_prev) / sigma_prev
+    U = np.column_stack([math.sqrt(k.c_1) * cma.p_c,
                          (np.sqrt(k.c_mu * w)[:, None] * Y).T])
-    return a * L_stepped @ L_stepped.T + U @ U.T
+    L_s = unpack_lower(packed, d)
+    return a * L_s @ L_s.T + U @ U.T
 
 
 def test_cmaes_factor_update_matches_dense_covariance():
     # pop + 1 < d: the factor is updated by QR without forming C
     d = 40
-    residuals = []
+    for cls in (DiffCmaes, ClassicCmaes):
+        residuals = []
 
-    def check(algo, L_stepped, st):
-        L = algo.factor()
-        assert L.flags.c_contiguous
-        assert np.all(np.triu(L, 1) == 0.0)
-        assert np.all(np.diag(L) > 0.0)
-        target = _commit_target(algo, L_stepped, st)
-        residuals.append(np.linalg.norm(L @ L.T - target) / np.linalg.norm(target))
-        np.testing.assert_allclose(algo.mean_diag_c, np.trace(L @ L.T) / d,
-                                   rtol=1e-14, atol=0.0)
+        def check(algo, st, *args, **kwargs):
+            w = args[2]
+            if cls is DiffCmaes:
+                # softmax over negated standardized penalized fitness
+                fit = st["sel_fit"]
+                s = -(fit - fit.mean()) / fit.std() / algo.cfg.relax.tau
+                soft = np.exp(s - s.max())
+                np.testing.assert_allclose(w, soft / soft.sum(),
+                                           rtol=1e-14, atol=0.0)
+            else:
+                np.testing.assert_array_equal(
+                    np.sort(w)[::-1], np.r_[algo.cma.k.weights, [0.0] * 3])
+            L = algo.factor()
+            assert L.flags.c_contiguous
+            assert np.all(np.triu(L, 1) == 0.0)
+            assert np.all(np.diag(L) > 0.0)
+            target = _commit_target(algo.cma, *args, **kwargs)
+            residuals.append(
+                np.linalg.norm(L @ L.T - target) / np.linalg.norm(target))
+            np.testing.assert_allclose(algo.cma.mean_diag_c,
+                                       np.trace(L @ L.T) / d,
+                                       rtol=1e-14, atol=0.0)
 
-    _cmaes_generations(d, 6, 3, check)
-    assert len(residuals) == 3 and max(residuals) <= 1e-14, residuals
+        _cmaes_generations(cls, d, 6, 3, check)
+        assert len(residuals) == 3 and max(residuals) <= 1e-14, (cls, residuals)
 
 
 def test_cmaes_adam_steps_only_the_packed_lower_triangle():
@@ -347,16 +409,17 @@ def test_cmaes_adam_steps_only_the_packed_lower_triangle():
 @pytest.mark.parametrize("d, calls", [(40, 0), (5, 3)])
 def test_cmaes_refactors_covariance_only_when_pop_reaches_dim(
         monkeypatch, d, calls):
-    seen = []
-    factor = diffevo.cholesky_with_jitter
+    factor = classic.cholesky_with_jitter
+    for cls in (DiffCmaes, ClassicCmaes):
+        seen = []
 
-    def counted(C):
-        seen.append(C.shape)
-        return factor(C)
+        def counted(C):
+            seen.append(C.shape)
+            return factor(C)
 
-    monkeypatch.setattr(diffevo, "cholesky_with_jitter", counted)
-    _cmaes_generations(d, 6, 3)
-    assert len(seen) == calls
+        monkeypatch.setattr(classic, "cholesky_with_jitter", counted)
+        _cmaes_generations(cls, d, 6, 3)
+        assert len(seen) == calls, cls
 
 
 @pytest.mark.parametrize("d", [40, 5])
@@ -366,3 +429,8 @@ def test_cmaes_non_finite_draw_fails_the_commit(d):
     algo._staged["x_raw"][2, 1] = np.nan
     with pytest.raises(RuntimeError, match="non-finite"):
         algo.update_state()
+    algo = ClassicCmaes(make_problem("sphere", d), pop_size=6, rng=Rng(0))
+    noise = algo.draw_noise()
+    noise["z"][1, 2] = np.nan             # L = I: draw 2 is NaN in x_1
+    with pytest.raises(RuntimeError, match="non-finite"):
+        algo.generation(noise)
