@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtpqrt
+from scipy.linalg.lapack import dtpqrt, dtpttr
 
 from . import kernels
 from .problems import Problem
 from .relax import Rng
-from .tape import _sigmoid, tril_index, unpack_lower
+from .tape import _sigmoid, pack_lower, unpack_lower
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ class CmaState:
     sigma floored above zero), the h_sigma stall gate and the rank-one plus
     rank-mu update of the Cholesky factor (Hansen, arXiv:1604.00772). The
     caller holds the factor as its lower triangle packed row by row into a
-    (1, d(d+1)/2) row (``tape.tril_index`` order).
+    (1, d(d+1)/2) row (``tape.pack_lower``).
 
     The new covariance is a L Lᵀ + U Uᵀ, with L the given factor, a > 0,
     and U holding the lambda + 1 rank-one and rank-mu columns. When
@@ -227,11 +227,12 @@ class CmaState:
         delta_h = (1.0 - h_sig) * cc * (2.0 - cc)
         if X.shape[0] + 1 < d:
             # the R of a QR of [sqrt(a) Lᵀ; Uᵀ] has RᵀR = a L Lᵀ + U Uᵀ = C_new;
-            # sqrt(a) scales the factor while it is still packed
+            # sqrt(a) scales the factor while it is still packed; the
+            # Fortran-order upper triangle dtpttr unpacks is sqrt(a) Lᵀ
             a = 1.0 - k.c_1 - k.c_mu + k.c_1 * delta_h
             Ut = np.vstack([math.sqrt(k.c_1) * self.p_c,
                             np.sqrt(k.c_mu * w)[:, None] * Y])
-            sLt = unpack_lower(math.sqrt(a) * packed, d).T
+            sLt = dtpttr(d, (math.sqrt(a) * packed).ravel(), uplo="U")[0]
             R, _, _, info = dtpqrt(0, min(32, d), sLt, Ut,
                                    overwrite_a=1, overwrite_b=1)
             if info != 0:
@@ -254,7 +255,7 @@ class CmaState:
 
         csa_log = min(1.0, max(-1.0, (cs / k.d_sigma) * (norm / k.chi_n - 1.0)))
         sigma_new = max(sigma * math.exp(csa_log), 1e-300)
-        return mu_cand, sigma_new, L_new.take(tril_index(d)).reshape(1, -1)
+        return mu_cand, sigma_new, pack_lower(L_new)
 
 
 class ClassicPso:
@@ -534,7 +535,7 @@ class ClassicCmaes:
             if mean0 is not None else dom.sample(rng, 1)[0]
         )
         self.sigma = float(sigma0) if sigma0 else 0.3 * float(dom.width.max())
-        self.L = np.eye(d).take(tril_index(d)).reshape(1, -1)
+        self.L = pack_lower(np.eye(d))
         self.cma = CmaState(dom, self.pop_size)
         self.best_x = None
         self.best_fitness = math.inf

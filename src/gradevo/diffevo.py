@@ -35,7 +35,7 @@ from .classic import CmaState
 from .classic import cholesky_with_jitter  # noqa: F401
 from .problems import Problem
 from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
-from .tape import Tape, Var, _sigmoid, tril_index, unpack_lower
+from .tape import Tape, Var, _sigmoid, pack_lower, unpack_lower
 
 
 def _logit(p: float) -> float:
@@ -472,7 +472,7 @@ class DiffCmaes(DiffAlgorithm):
     steps on top of the classical update.
 
     The factor slot ``"L"`` holds only the lower triangle of L, packed row
-    by row into a (1, d(d+1)/2) row (``tape.tril_index`` order), so Adam
+    by row into a (1, d(d+1)/2) row (``tape.pack_lower``), so Adam
     steps only the entries that can move; ``factor()`` unpacks it. The
     generation samples x_i = mu + sigma * L z_i on the tape, with L
     scattered from the packed row by ``Tape.lower_tri``, and evaluates f at
@@ -507,8 +507,7 @@ class DiffCmaes(DiffAlgorithm):
         sigma = float(sigma0) if sigma0 else 0.3 * float(dom.width.max())
         self.p_mu = self.tape.param("mu", mean)
         self.p_log_sigma = self.tape.param("log_sigma", [[math.log(sigma)]])
-        self.p_L = self.tape.param(
-            "L", np.eye(dim).take(tril_index(dim)).reshape(1, -1))
+        self.p_L = self.tape.param("L", pack_lower(np.eye(dim)))
         self.cma = CmaState(dom, lam)
 
     def draw_noise(self) -> dict:

@@ -26,7 +26,7 @@ from . import par
 from .classic import ClassicCmaes, ClassicDe, ClassicGa, ClassicPso
 from .diffevo import ALGORITHMS as DIFF_ALGORITHMS
 from .diffevo import DiffConfig
-from .outer import Adam, PlateauScheduler, run_loop
+from .outer import Adam, PlateauScheduler, RunError, run_loop
 from .plots import SummaryStats, summary_stats
 from .problems import Problem, benchmark_names, make_problem
 from .relax import RelaxConfig, Rng
@@ -298,7 +298,8 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
     BLAS is pinned to one thread here and in each worker process before
     any run, so the CSVs do not depend on the machine's thread count.
     A failed run still writes its partial CSV and is excluded from the
-    summary (with a warning); only a fully failed experiment raises.
+    summary, with a one-line warning; its full traceback goes to
+    ``errors.log``. Only a fully failed experiment raises.
     """
     exp_dir = experiment_dir(cfg)
     exp_dir.mkdir(parents=True, exist_ok=True)
@@ -325,12 +326,19 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
         records, err = results[i]
         write_run_csv(exp_dir / f"run_{i:03d}.csv", records)
         if err is not None or not records:
-            failures.append((i, err or "no records"))
+            failures.append((i, err or RunError("no records", "no records")))
         else:
             finals.append(records[-1].best_fitness)
 
+    # a rerun into the same directory must not keep an older run's log
+    (exp_dir / "errors.log").unlink(missing_ok=True)
+    if failures:
+        with open(exp_dir / "errors.log", "w") as fh:
+            for i, err in failures:
+                fh.write(f"run {i}:\n{err.traceback.rstrip()}\n\n")
     for i, err in failures:
-        print(f"warning: run {i} of {cfg.resolved_label()} failed: {err}",
+        print(f"warning: run {i} of {cfg.resolved_label()} failed: "
+              f"{err} (see {exp_dir / 'errors.log'})",
               file=sys.stderr)
     if not finals:
         raise RuntimeError(

@@ -14,6 +14,7 @@ of that count.
 from __future__ import annotations
 
 import math
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,6 +159,19 @@ class RunRecord:
     hyper: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class RunError:
+    """Why a run stopped: ``summary`` is the one-line ``Type: message``
+    and ``traceback`` the full formatted traceback. ``str()`` gives the
+    summary."""
+
+    summary: str
+    traceback: str
+
+    def __str__(self) -> str:
+        return self.summary
+
+
 def run_loop(algo, problem, max_evals: int, optimizer: Adam = None,
              scheduler: PlateauScheduler = None, run: int = 0):
     """Drive ``algo`` for ceil(max_evals / pop_size) generations.
@@ -166,7 +180,8 @@ def run_loop(algo, problem, max_evals: int, optimizer: Adam = None,
     on-tape ones, the differentiable algorithms and the wine backprop arm
     (zero_grad / backward / step / commit / reset per generation). Returns
     (records, error): on an exception the records collected so far come
-    back along with a short failure marker, otherwise error is None.
+    back along with a ``RunError`` carrying the traceback; otherwise
+    error is None.
     """
     if max_evals < 1:
         raise ValueError(f"max_evals must be >= 1, got {max_evals}")
@@ -199,6 +214,8 @@ def run_loop(algo, problem, max_evals: int, optimizer: Adam = None,
                 RunRecord(run, g, problem.n_evals - offset, float(best),
                           float(lr), algo.hyperparams())
             )
-    except Exception as exc:  # partial records plus a marker
-        return records, f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # partial records plus the traceback
+        # a message over several lines still makes a one-line summary
+        summary = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        return records, RunError(summary, traceback.format_exc())
     return records, None

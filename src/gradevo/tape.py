@@ -29,9 +29,8 @@ be recorded on a short tape.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
+from scipy.linalg.lapack import dtpttr, dtrttp
 
 Array = np.ndarray
 
@@ -57,20 +56,17 @@ def _sigmoid(x):
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
-@lru_cache(maxsize=8)
-def tril_index(n: int) -> Array:
-    """Flat C-order positions of the lower triangle of an (n, n) matrix,
-    row by row: the packing order of :meth:`Tape.lower_tri`."""
-    idx = np.flatnonzero(np.tri(n, dtype=bool))
-    idx.flags.writeable = False
-    return idx
-
-
+# A lower triangle packed row by row is, element for element, the upper
+# triangle of its transpose packed column by column: LAPACK's packed
+# layout with uplo 'U'. dtpttr and dtrttp then copy it exactly.
 def unpack_lower(packed: Array, n: int) -> Array:
     """The C-contiguous (n, n) lower-triangular matrix of a packed row."""
-    out = np.zeros((n, n))
-    out.ravel()[tril_index(n)] = packed.ravel()
-    return out
+    return dtpttr(n, packed.ravel(), uplo="U")[0].T
+
+
+def pack_lower(L: Array) -> Array:
+    """The (1, n(n+1)/2) row of the lower triangle of L, row by row."""
+    return dtrttp(L.T, uplo="U")[0].reshape(1, -1)
 
 
 def _reduce_to(g: Array, shape) -> Array:
@@ -394,10 +390,9 @@ class Tape:
         m = n * (n + 1) // 2
         if a.shape != (1, m):
             raise ValueError(f"lower_tri: packed row must be (1, {m}), got {a.shape}")
-        idx = tril_index(n)
 
         def vjp(g):
-            return (g.take(idx).reshape(1, m),)
+            return (pack_lower(g),)
 
         return self._record("lower_tri", unpack_lower(a.value, n), (a,), vjp)
 

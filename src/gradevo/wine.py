@@ -23,6 +23,11 @@ hand-written vjp (Griewank & Walther, *Evaluating Derivatives*, ch. 6)
 reads those buffers back, so the tape holds one node per population
 instead of a graph per candidate.
 
+b1 is stored right after the row-major W1, so each row's first layer is
+one gemm of the inputs with a ones column, ``[F | 1] @ [W1; b1]``, and the
+vjp forms the gradient of that block as one gemm too. No pass of either
+broadcasts a vector across the (n, n_hidden) activations.
+
 ``Backprop`` is the study's baseline arm: plain full-batch backprop on the
 same network, driven by the same generation loop as the evolved arms.
 """
@@ -173,7 +178,9 @@ class MlpSpec:
         """Column spans of (W1, b1, W2, b2) inside the flat parameter row.
 
         W1 is stored row-major: parameter k of the first span sits at
-        W1[k // n_hidden, k % n_hidden].
+        W1[k // n_hidden, k % n_hidden]. b1 follows it, so the first two
+        spans together are one contiguous (n_in + 1, n_hidden) block
+        ``[W1; b1]``, the matrix ``mlp_forward`` multiplies ``[F | 1]`` by.
         """
         a = self.n_in * self.n_hidden
         b = a + self.n_hidden
@@ -182,20 +189,26 @@ class MlpSpec:
 
 
 def mlp_forward(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
-                spec: MlpSpec):
+                spec: MlpSpec, *, with_ones: np.ndarray = None):
     """Mean-squared error of the network of each row of a (k, P) batch.
 
     Returns ``(losses, h, r)``: the (k,) losses, the (k, n, n_hidden) tanh
     activations and the (k, n, 1) residuals prediction - target, which are
-    what the vjp of ``WineProblem.eval_pop`` reads. The rows are
-    independent and ``par.run`` spreads them over the CPUs; each chunk
-    writes only its own rows of these buffers and squares residuals into
-    its own scratch, so the losses are bitwise the same at any pool width.
+    what the vjp of ``WineProblem.eval_pop`` reads. The first layer is one
+    gemm, ``[F | 1] @ [W1; b1]``: the bias rides on a ones column, so no
+    pass broadcasts b1 across the activations. The rows are independent
+    and ``par.run`` spreads them over the CPUs; each chunk writes only its
+    own rows of these buffers and squares residuals into its own scratch,
+    so the losses are bitwise the same at any pool width.
+
+    ``with_ones`` is ``[F | 1]`` for a caller that keeps it, such as
+    ``WineProblem``; it is built from ``features`` when omitted.
     """
     if X.ndim != 2 or X.shape[1] != spec.n_params:
         raise ValueError(f"params must be (k, {spec.n_params}), got {X.shape}")
-    (w1a, w1b), (b1a, b1b), (w2a, w2b), (b2a, b2b) = spec.unpack_spans()
+    (w1a, _), (_, b1b), (w2a, w2b), (b2a, b2b) = spec.unpack_spans()
     k, n = X.shape[0], features.shape[0]
+    f1 = _with_ones(features) if with_ones is None else with_ones
     t = targets.reshape(n, 1)
     h = np.empty((k, n, spec.n_hidden))
     r = np.empty((k, n, 1))
@@ -204,9 +217,8 @@ def mlp_forward(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
     def rows(part, sq):
         for i in part:
             p, hi, ri = X[i], h[i], r[i]
-            np.matmul(features, p[w1a:w1b].reshape(spec.n_in, spec.n_hidden),
+            np.matmul(f1, p[w1a:b1b].reshape(spec.n_in + 1, spec.n_hidden),
                       out=hi)
-            hi += p[b1a:b1b]
             np.tanh(hi, out=hi)
             np.matmul(hi, p[w2a:w2b].reshape(spec.n_hidden, 1), out=ri)
             ri += p[b2a:b2b]
@@ -216,6 +228,12 @@ def mlp_forward(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
     parts = par.split(k)
     par.run(rows, parts, np.empty((len(parts), n, 1)))
     return losses, h, r
+
+
+def _with_ones(features: np.ndarray) -> np.ndarray:
+    """The (n, n_in + 1) inputs ``[F | 1]`` whose product with the
+    contiguous ``[W1; b1]`` block is the first layer's pre-activation."""
+    return np.hstack([features, np.ones((features.shape[0], 1))])
 
 
 class WineProblem(Problem):
@@ -236,6 +254,7 @@ class WineProblem(Problem):
         self.spec = spec
         self.features = features
         self.targets = targets
+        self._f1 = _with_ones(features)
 
     @classmethod
     def from_file(cls, path: str, noise_seed: int, **kw) -> "WineProblem":
@@ -243,20 +262,26 @@ class WineProblem(Problem):
         return cls(feats, noisy_targets(quality, noise_seed), **kw)
 
     def _eval_array(self, X):
-        return mlp_forward(X, self.features, self.targets, self.spec)[0]
+        return mlp_forward(X, self.features, self.targets, self.spec,
+                           with_ones=self._f1)[0]
 
     def _eval_pop(self, tape, X):
         """The population's losses as one ``mlp_mse`` node.
 
         Its vjp is the reverse of ``mlp_forward``, row by row, over the
-        rows whose loss gets a gradient; ``par.run`` spreads those rows
-        over the CPUs. Each chunk has its own scratch and writes only its
-        rows of the gradient, so the gradient is bitwise the same at any
-        pool width.
+        rows whose loss gets a gradient. With gs = 2 g r / n and
+        d = 1 - h², the gradient of ``[W1; b1]`` is ``([F | 1] ⊙ gs)ᵀ d``
+        with its columns scaled by W2: one gemm written straight into the
+        row's gradient, with no pass that broadcasts W2 or b1 across the
+        (n, n_hidden) activations. ``par.run`` spreads the rows over the
+        CPUs; each chunk has its own scratch and writes only its rows of
+        the gradient, so the gradient is bitwise the same at any pool
+        width.
         """
-        xv, F = X.value, self.features
-        losses, h, r = mlp_forward(xv, F, self.targets, self.spec)
-        (w1a, w1b), (b1a, b1b), (w2a, w2b), (b2a, b2b) = self.spec.unpack_spans()
+        xv, F, f1 = X.value, self.features, self._f1
+        losses, h, r = mlp_forward(xv, F, self.targets, self.spec,
+                                   with_ones=f1)
+        (w1a, _), (_, b1b), (w2a, w2b), (b2a, _) = self.spec.unpack_spans()
         n_in, n_hidden = self.spec.n_in, self.spec.n_hidden
         n = F.shape[0]
 
@@ -265,24 +290,23 @@ class WineProblem(Problem):
             # under a "best" loss) keeps its zeros
             grad = np.zeros(xv.shape)
 
-            def rows(part, gs, dh, d):
+            def rows(part, gs, f1gs, d):
                 for i in part:
                     hi = h[i]
                     np.multiply((g[i, 0] / n) * 2.0, r[i], out=gs)
                     np.matmul(hi.T, gs, out=grad[i, w2a:w2b].reshape(n_hidden, 1))
                     grad[i, b2a] = gs.sum()
-                    np.multiply(hi, hi, out=d)
+                    np.square(hi, out=d)
                     np.subtract(1.0, d, out=d)
-                    # the outer product gs W2ᵀ
-                    np.multiply(gs, xv[i, w2a:w2b], out=dh)
-                    np.multiply(dh, d, out=d)
-                    np.matmul(F.T, d, out=grad[i, w1a:w1b].reshape(n_in, n_hidden))
-                    np.sum(d, axis=0, out=grad[i, b1a:b1b])
+                    np.multiply(f1, gs, out=f1gs)
+                    g1 = grad[i, w1a:b1b].reshape(n_in + 1, n_hidden)
+                    np.matmul(f1gs.T, d, out=g1)
+                    g1 *= xv[i, w2a:w2b]
 
             parts = par.split(np.flatnonzero(g[:, 0]))
             m = len(parts)
             par.run(rows, parts, np.empty((m, n, 1)),
-                    np.empty((m, n, n_hidden)), np.empty((m, n, n_hidden)))
+                    np.empty((m, n, n_in + 1)), np.empty((m, n, n_hidden)))
             return (grad,)
 
         return tape._record("mlp_mse", losses.reshape(-1, 1), (X,), vjp)

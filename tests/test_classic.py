@@ -17,7 +17,6 @@ from gradevo.classic import (
 )
 from gradevo.problems import make_problem
 from gradevo.relax import Rng
-from gradevo.tape import tril_index
 
 
 # --- operator oracles -------------------------------------------------------
@@ -156,7 +155,7 @@ def test_cholesky_with_jitter_rejects_a_nan_covariance():
 def test_cmaes_generation_fails_on_a_nan_covariance():
     algo = ClassicCmaes(make_problem("sphere", 5), pop_size=8, rng=Rng(0))
     algo.generation()
-    algo.L[0, list(tril_index(5)).index(2 * 5 + 2)] = np.nan    # L[2, 2]
+    algo.L[0, 5] = np.nan    # L[2, 2], after the 1 + 2 entries of rows 0, 1
     with pytest.raises(RuntimeError, match="non-finite"):
         algo.generation()
 

@@ -12,6 +12,7 @@ import pytest
 
 import gradevo
 from gradevo import cli
+from gradevo.classic import ClassicPso
 from gradevo.harness import (
     ExperimentConfig,
     load_experiment,
@@ -161,6 +162,33 @@ def test_experiment_writes_runs_summary_and_timing(tmp_path):
     log = (exp_dir / "timing.log").read_text().splitlines()
     assert f"pool_threads={len(os.sched_getaffinity(0))}" in log
     assert "blas_threads=1" in log
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_runs_keep_their_traceback_in_errors_log(
+        tmp_path, monkeypatch, capsys, workers):
+    def generation_that_raises(self, noise=None):
+        raise FloatingPointError("kaboom\nat generation 0")
+
+    # worker processes are forked, so they see the patched class too
+    monkeypatch.setattr(ClassicPso, "generation", generation_that_raises)
+    with pytest.raises(RuntimeError, match="first error: FloatingPointError"):
+        run_experiment(tiny_cfg(tmp_path, workers=workers), quiet=True)
+    log = (tmp_path / "pso-sphere-d2" / "errors.log").read_text()
+    assert log.count("Traceback (most recent call last):") == 2
+    assert "in generation_that_raises" in log
+    assert "FloatingPointError: kaboom\nat generation 0" in log
+    # one line per run, keeping the type of a message over several lines
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 2
+    assert all(w.startswith("warning: run ") and
+               "FloatingPointError: kaboom at generation 0" in w
+               for w in warnings)
+
+    # a rerun that succeeds leaves no stale log behind
+    monkeypatch.undo()
+    run_experiment(tiny_cfg(tmp_path), quiet=True)
+    assert not (tmp_path / "pso-sphere-d2" / "errors.log").exists()
 
 
 def test_same_seed_reruns_are_byte_identical(tmp_path):

@@ -163,7 +163,9 @@ def test_run_loop_returns_partial_records_on_failure():
 
     prob.eval_array = bomb
     records, err = run_loop(algo, prob, max_evals=50)
-    assert err == "FloatingPointError: kaboom"
+    assert str(err) == "FloatingPointError: kaboom"
+    assert err.traceback.startswith("Traceback (most recent call last):")
+    assert "in bomb" in err.traceback
     assert len(records) == 2
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradevo import cli
-from gradevo.tape import Tape
+from gradevo.tape import Tape, pack_lower, unpack_lower
 
 
 def grad_of(tape, param):
@@ -283,6 +283,22 @@ def test_lower_tri_scatters_rows_and_gathers_gradient():
     w = np.arange(9, dtype=float).reshape(3, 3)
     t.backward(t.sum(t.mul(L, t.constant(w))))
     np.testing.assert_array_equal(grad_of(t, p), [w[np.tril_indices(3)]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 100])
+def test_lapack_pack_and_unpack_are_the_row_by_row_scatter(n):
+    # the reference scatters a packed row into the C-order positions of
+    # the lower triangle, row by row, and gathers it back from them
+    idx = np.flatnonzero(np.tri(n, dtype=bool))
+    packed = np.random.default_rng(n).normal(size=(1, idx.size))
+    L = np.zeros((n, n))
+    L.ravel()[idx] = packed.ravel()
+    got = unpack_lower(packed, n)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got.view(np.int64), L.view(np.int64))
+    full = np.random.default_rng(n + 1).normal(size=(n, n))
+    np.testing.assert_array_equal(pack_lower(full), full.ravel()[idx][None, :])
+    np.testing.assert_array_equal(pack_lower(got), packed)
 
 
 @pytest.mark.parametrize("shape", [(1, 5), (1, 7), (6, 1)])

@@ -138,6 +138,76 @@ def test_losses_and_gradient_are_bitwise_equal_at_any_pool_width(
             np.testing.assert_array_equal(got, want)
 
 
+def _reference_network(X, F, targets, spec):
+    # per row: the textbook network, every layer and bias written out
+    (w1a, w1b), (b1a, b1b), (w2a, w2b), (b2a, b2b) = spec.unpack_spans()
+    out = []
+    for p in X:
+        W1 = p[w1a:w1b].reshape(spec.n_in, spec.n_hidden)
+        h = np.tanh(F @ W1 + p[b1a:b1b])
+        r = h @ p[w2a:w2b].reshape(spec.n_hidden, 1) + p[b2a:b2b] - \
+            targets.reshape(-1, 1)
+        out.append((h, r))
+    return out
+
+
+def _reference_gradient(X, F, targets, spec, g):
+    # the vjp row formula written out pass by pass: the outer product
+    # gs W2ᵀ, the elementwise chain through 1 - h², F.T @ d for W1 and the
+    # column sum for b1
+    (w1a, w1b), (b1a, b1b), (w2a, w2b), (b2a, _) = spec.unpack_spans()
+    n = F.shape[0]
+    grad = np.zeros(X.shape)
+    for i, (h, r) in enumerate(_reference_network(X, F, targets, spec)):
+        if g[i] == 0.0:
+            continue
+        gs = (g[i] / n) * 2.0 * r
+        grad[i, w2a:w2b] = (h.T @ gs).ravel()
+        grad[i, b2a] = gs.sum()
+        d = np.outer(gs, X[i, w2a:w2b]) * (1.0 - h * h)
+        grad[i, w1a:w1b] = (F.T @ d).ravel()
+        grad[i, b1a:b1b] = d.sum(axis=0)
+    return grad
+
+
+def test_forward_matches_the_textbook_network(table):
+    prob = WineProblem.from_file(table, noise_seed=0)
+    X = np.random.default_rng(5).uniform(-10, 10, size=(7, 1665))
+    losses, h, r = mlp_forward(X, prob.features, prob.targets, prob.spec)
+    ref = _reference_network(X, prob.features, prob.targets, prob.spec)
+    for i, (h_ref, r_ref) in enumerate(ref):
+        np.testing.assert_allclose(h[i], h_ref, rtol=1e-13)
+        np.testing.assert_allclose(r[i], r_ref, rtol=1e-13)
+        np.testing.assert_allclose(losses[i], np.mean(r_ref ** 2), rtol=1e-13)
+
+
+@pytest.mark.parametrize("reduce", ["mean", "best"])
+@pytest.mark.parametrize("k", [30, 7, 1])
+def test_gradient_matches_the_reference_row_formula(table, k, reduce):
+    prob = WineProblem.from_file(table, noise_seed=0)
+    X = np.random.default_rng(k).uniform(-10, 10, size=(k, 1665))
+    t = Tape()
+    px = t.param("x", X)
+    fit = prob.eval_pop(t, px.raw)
+    if reduce == "mean":
+        t.backward(t.mean(fit))
+        g = np.full(k, 1.0 / k)
+    else:
+        best, idx = t.min_with_index(fit)
+        t.backward(best)
+        g = np.eye(k)[idx]
+    ref = _reference_gradient(X, prob.features, prob.targets, prob.spec, g)
+    # both sum the same terms in another order: an entry much smaller
+    # than its row's largest comes from cancellation, so its error is
+    # measured against that largest entry
+    scale = np.abs(ref).max(axis=1, keepdims=True)
+    hit = scale[:, 0] > 0.0
+    np.testing.assert_allclose(px.raw.grad[hit] / scale[hit],
+                               ref[hit] / scale[hit], rtol=1e-12, atol=1e-12)
+    # rows whose loss gets no gradient stay exactly zero
+    np.testing.assert_array_equal(px.raw.grad[~hit], 0.0)
+
+
 def test_mlp_forward_rejects_wrong_width():
     with pytest.raises(ValueError):
         mlp_forward(np.zeros((1, 10)), np.zeros((2, 11)), np.zeros(2), MlpSpec())
