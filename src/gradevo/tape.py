@@ -20,7 +20,8 @@ column-vector broadcasts have their own dedicated ops so the intent is
 explicit in the graph.
 
 A composite function with a hand-written vjp records itself as one node
-through ``Tape._record`` (the wine MLP loss, ``WineProblem.eval_pop``).
+through ``Tape._record``: the wine MLP loss (``WineProblem.eval_pop``) and
+each benchmark function (``BenchmarkProblem.eval_pop``).
 
 Trainable leaves are created through :meth:`Tape.param` and survive
 :meth:`Tape.reset`, which drops every other node so the next generation can
@@ -280,20 +281,6 @@ class Tape:
         out = np.exp(a.value)
         return self._record("exp", out, (a,), lambda g: (g * out,))
 
-    def sqrt(self, a: Var) -> Var:
-        if np.any(a.value < 0.0):
-            raise ValueError("sqrt: argument must be non-negative")
-        out = np.sqrt(a.value)
-        return self._record("sqrt", out, (a,), lambda g: (g * 0.5 / out,))
-
-    def sin(self, a: Var) -> Var:
-        av = a.value
-        return self._record("sin", np.sin(av), (a,), lambda g: (g * np.cos(av),))
-
-    def cos(self, a: Var) -> Var:
-        av = a.value
-        return self._record("cos", np.cos(av), (a,), lambda g: (-g * np.sin(av),))
-
     def sigmoid(self, a: Var) -> Var:
         out = _sigmoid(a.value)
         return self._record(
@@ -348,24 +335,6 @@ class Tape:
 
         return self._record("row_sum", a.value.sum(axis=1, keepdims=True), (a,), vjp)
 
-    def row_prod(self, a: Var) -> Var:
-        """Product over each row. Gradient uses leave-one-out products built
-        from left/right cumulative products, which stays exact when a row
-        contains zeros."""
-        av = a.value
-        n, d = av.shape
-        ones = np.ones((n, 1))
-        left = np.cumprod(av, axis=1)
-        left = np.concatenate([ones, left[:, :-1]], axis=1)
-        right = np.cumprod(av[:, ::-1], axis=1)[:, ::-1]
-        right = np.concatenate([right[:, 1:], ones], axis=1)
-        loo = left * right
-
-        def vjp(g):
-            return (g * loo,)
-
-        return self._record("row_prod", av.prod(axis=1, keepdims=True), (a,), vjp)
-
     # ------------------------------------------------------------------
     # linear algebra
     # ------------------------------------------------------------------
@@ -397,20 +366,8 @@ class Tape:
         return self._record("lower_tri", unpack_lower(a.value, n), (a,), vjp)
 
     # ------------------------------------------------------------------
-    # shape / selection ops
+    # row and column broadcasts
     # ------------------------------------------------------------------
-
-    def slice_cols(self, a: Var, j0: int, j1: int) -> Var:
-        if not (0 <= j0 < j1 <= a.cols):
-            raise ValueError(f"slice_cols: [{j0}:{j1}] out of range for {a.shape}")
-        shape = a.shape
-
-        def vjp(g):
-            z = np.zeros(shape)
-            z[:, j0:j1] = g
-            return (z,)
-
-        return self._record("slice_cols", a.value[:, j0:j1].copy(), (a,), vjp)
 
     def add_rowvec(self, a: Var, b: Var) -> Var:
         """(n, m) + (1, m) broadcast over rows."""

@@ -9,8 +9,9 @@ import pytest
 from gradevo import classic
 from gradevo.classic import ClassicCmaes, ClassicDe, ClassicPso
 from gradevo.diffevo import DiffCmaes, DiffConfig, DiffDe, DiffGa, DiffPso
+from gradevo.harness import ExperimentConfig, run_single
 from gradevo.outer import Adam, run_loop
-from gradevo.problems import make_problem
+from gradevo.problems import benchmark_names, make_problem
 from gradevo.relax import RelaxConfig, Rng
 from gradevo.tape import unpack_lower
 
@@ -292,9 +293,32 @@ def test_cmaes_box_keeps_mean_off_ackley_corners():
     assert np.all(mean > dom.lower + 1e-6)
     assert np.all(mean < dom.upper - 1e-6)
     assert dom.contains(algo.best_x)
-    # the tape and array paths sum in different orders
-    np.testing.assert_allclose(prob.eval_array(algo.best_x[None, :])[0],
-                               algo.best_fitness, rtol=1e-12, atol=0.0)
+    assert prob.eval_array(algo.best_x[None, :])[0] == algo.best_fitness
+
+
+@pytest.mark.parametrize("name", list(ALGOS))
+@pytest.mark.parametrize("problem", benchmark_names())
+def test_best_fitness_is_the_array_value_of_best_x(name, problem):
+    # the fitness node's value is the array kernel's, so the recorded best
+    # is, bit for bit, what a classical run would score at best_x
+    prob = make_problem(problem, 5)
+    algo = ALGOS[name](prob, pop_size=10, rng=Rng(3))
+    opt = Adam(algo.parameters(), lr=0.01)
+    records, err = run_loop(algo, prob, max_evals=30 * 10, optimizer=opt)
+    assert err is None and len(records) == 30
+    value = prob.eval_array(algo.best_x[None, :])[0]
+    assert np.float64(value).tobytes() == np.float64(algo.best_fitness).tobytes()
+
+
+@pytest.mark.parametrize("name", list(ALGOS))
+def test_runs_through_the_ackley_origin(name):
+    # on [0, 10]^2 the box corner is Ackley's minimum, where clamped
+    # samples land; its gradient there must stay finite
+    cfg = ExperimentConfig(algo=name, problem="ackley", dim=2, lo=0.0,
+                           hi=10.0, pop=8, budget=800, runs=1, seed=0)
+    _, records, err = run_single(cfg, 0)
+    assert err is None, err
+    assert len(records) == 100
 
 
 def test_cmaes_penalty_gradient_points_into_box():

@@ -43,8 +43,9 @@ def test_tape_and_array_paths_agree():
         X = p.domain.sample(rng, 25)
         t = Tape()
         on_tape = p.eval_pop(t, t.constant(X)).value.ravel()
-        np.testing.assert_allclose(on_tape, p.eval_array(X), rtol=1e-10,
-                                   err_msg=name)
+        np.testing.assert_array_equal(on_tape.view(np.int64),
+                                      p.eval_array(X).view(np.int64),
+                                      err_msg=name)
 
 
 def test_tape_gradients_match_finite_differences():
@@ -65,6 +66,19 @@ def test_tape_gradients_match_finite_differences():
             fd = (p.eval_array(xp)[0] - p.eval_array(xm)[0]) / (2 * h)
             np.testing.assert_allclose(g[0, j], fd, rtol=2e-4, atol=1e-7,
                                        err_msg=f"{name}[{j}]")
+
+
+def test_ackley_gradient_at_the_origin_is_zero():
+    # the first term is a cone with its tip at the origin, where its
+    # subgradient 0 is taken
+    p = make_problem("ackley", 3)
+    t = Tape()
+    px = t.param("x", [[0.0, 0.0, 0.0], [0.5, -1.0, 2.0]])
+    t.backward(t.sum(p.eval_pop(t, px.raw)))
+    g = px.raw.grad
+    assert np.all(np.isfinite(g))
+    np.testing.assert_array_equal(g[0], 0.0)
+    assert np.all(g[1] != 0.0)
 
 
 def test_all_benchmarks_finite_on_a_million_probes():
