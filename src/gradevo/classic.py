@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtpqrt, dtpttr
+from scipy.linalg.lapack import dtpqrt, dtpttr, dtrttp
 
 from . import kernels
 from .problems import Problem
 from .relax import Rng
-from .tape import _sigmoid, pack_lower, unpack_lower
+from .tape import _sigmoid
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,19 @@ def cma_constants(dim: int, lam: int) -> CmaConstants:
     c_mu = min(1.0 - c_1, 2.0 * (me - 2.0 + 1.0 / me) / ((dim + 2.0) ** 2 + me))
     chi_n = math.sqrt(dim) * (1.0 - 1.0 / (4.0 * dim) + 1.0 / (21.0 * dim * dim))
     return CmaConstants(mu, weights, me, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n)
+
+
+# A lower triangle packed row by row is, element for element, the upper
+# triangle of its transpose packed column by column: LAPACK's packed
+# layout with uplo 'U'. dtpttr and dtrttp then copy it exactly.
+def unpack_lower(packed: np.ndarray, n: int) -> np.ndarray:
+    """The C-contiguous (n, n) lower-triangular matrix of a packed row."""
+    return dtpttr(n, packed.ravel(), uplo="U")[0].T
+
+
+def pack_lower(L: np.ndarray) -> np.ndarray:
+    """The (1, n(n+1)/2) row of the lower triangle of L, row by row."""
+    return dtrttp(L.T, uplo="U")[0].reshape(1, -1)
 
 
 def tournament_select(fit: np.ndarray, rng: Rng, k: int) -> int:
@@ -153,9 +166,9 @@ class CmaState:
     """The one CMA-ES update of both CMA-ES variants: evolution paths,
     cumulative step-size adaptation (at most a factor of e per generation,
     sigma floored above zero), the h_sigma stall gate and the rank-one plus
-    rank-mu update of the Cholesky factor (Hansen, arXiv:1604.00772). The
-    caller holds the factor as its lower triangle packed row by row into a
-    (1, d(d+1)/2) row (``tape.pack_lower``).
+    rank-mu update of the Cholesky factor (Hansen, arXiv:1604.00772), and
+    their one Gaussian sample, ``sample``. The caller holds the factor as
+    its lower triangle packed row by row into a (1, d(d+1)/2) row.
 
     The new covariance is a L Lᵀ + U Uᵀ, with L the given factor, a > 0,
     and U holding the lambda + 1 rank-one and rank-mu columns. When
@@ -167,12 +180,23 @@ class CmaState:
     """
 
     def __init__(self, domain, lam: int):
+        if lam < 2:
+            raise ValueError("CMA-ES needs at least 2 offspring")
         self.k = cma_constants(domain.dim, lam)
         self.box = BoxPenalty(domain)
         self.mean_diag_c = 1.0          # mean(diag C) of the committed factor
         self.p_sigma = np.zeros(domain.dim)
         self.p_c = np.zeros(domain.dim)
         self.gen_count = 0
+
+    @staticmethod
+    def sample(mean, sigma: float, packed: np.ndarray, z: np.ndarray):
+        """The draws X = mean + sigma (L z)ᵀ, C-contiguous (lambda, d), and
+        M = L z (d, lambda), for normal draws z and a packed factor L."""
+        M = unpack_lower(packed, z.shape[0]) @ z
+        X = np.multiply(M.T, sigma, order="C")
+        X += mean
+        return X, M
 
     def rank_weights(self, sel_fit: np.ndarray) -> np.ndarray:
         """The log-rank weights on the mu lowest values of ``sel_fit`` (ties
@@ -526,8 +550,6 @@ class ClassicCmaes:
         self.problem = problem
         d = problem.dim
         self.pop_size = int(pop_size) if pop_size else 4 + int(3 * math.log(d))
-        if self.pop_size < 2:
-            raise ValueError("CMA-ES needs at least 2 offspring")
         self.rng = rng
         dom = problem.domain
         self.mean = (
@@ -556,7 +578,7 @@ class ClassicCmaes:
             noise = self.draw_noise()
         cma = self.cma
         z = noise["z"]
-        X = self.mean + self.sigma * (self.factor() @ z).T      # (lam, d)
+        X, _ = cma.sample(self.mean, self.sigma, self.L, z)
         Xc = self.problem.domain.clip(X)
         fit = self.problem.eval_array(Xc)
         sel_fit = fit

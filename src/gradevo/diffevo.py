@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classic import CmaState
+from .classic import CmaState, pack_lower, unpack_lower
 # importable from here by name: perfbench/spans.py wraps
 # diffevo.cholesky_with_jitter
 from .classic import cholesky_with_jitter  # noqa: F401
 from .problems import Problem
 from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
-from .tape import Tape, Var, _sigmoid, pack_lower, unpack_lower
+from .tape import Tape, Var, _sigmoid
 
 
 def _logit(p: float) -> float:
@@ -174,8 +174,10 @@ class DiffPso(DiffAlgorithm):
         gb = t.constant(self.best_x.reshape(1, -1))
 
         inertia = t.mul_colvec(v_const, self.p_omega.raw)
-        cognitive = t.mul_colvec(t.mul(r1, t.sub(pb, X)), self.p_c1.raw)
-        social = t.mul_colvec(t.mul(r2, t.add_rowvec(t.neg(X), gb)), self.p_c2.raw)
+        # kernels.pso_step's product order: at lr 0 this is ClassicPso exactly
+        cognitive = t.mul(t.mul_colvec(r1, self.p_c1.raw), t.sub(pb, X))
+        social = t.mul(t.mul_colvec(r2, self.p_c2.raw),
+                       t.add_rowvec(t.neg(X), gb))
         v_new = t.clamp(t.add(t.add(inertia, cognitive), social),
                         -self.vmax, self.vmax)
         x_new = t.clamp(t.add(X, v_new), dom.lower, dom.upper)
@@ -204,8 +206,8 @@ class DiffPso(DiffAlgorithm):
 class DiffGa(DiffAlgorithm):
     """Real-coded GA with learnable operator parameters.
 
-    Parent selection is a Gumbel-Softmax mixture over one logit vector in
-    R^N (soft by default). The SBX spread exponent and the polynomial
+    Parent selection is a Gumbel-Softmax mixture over one (1, N) logit row
+    (soft by default). The SBX spread exponent and the polynomial
     mutation exponent are learned through log-parameterizations, the
     per-offspring crossover gate through one logit, and the per-gene
     mutation gates through a logit vector in R^D. The crossover gate blends
@@ -232,7 +234,7 @@ class DiffGa(DiffAlgorithm):
         self.p_mut_logits = self.tape.param(
             "mut_logits", np.full((1, d), _logit(mutation_rate))
         )
-        self.p_sel_logits = self.tape.param("sel_logits", np.zeros((n, 1)))
+        self.p_sel_logits = self.tape.param("sel_logits", np.zeros((1, n)))
         self._initialised = False
         self.fit = None
 
@@ -277,15 +279,14 @@ class DiffGa(DiffAlgorithm):
             noise = self.draw_noise()
         t = self.tape
         rc = self.cfg.relax
-        n, d = self.pop_size, self.problem.dim
+        d = self.problem.dim
         dom = self.problem.domain
         X = self.pX.raw
 
-        sel_row = t.transpose(self.p_sel_logits.raw)
-        s1 = gumbel_softmax(t, sel_row, rc.tau, u=noise["sel_u1"], rows=n,
-                            hard=rc.hard_selection)
-        s2 = gumbel_softmax(t, sel_row, rc.tau, u=noise["sel_u2"], rows=n,
-                            hard=rc.hard_selection)
+        s1 = gumbel_softmax(t, self.p_sel_logits.raw, rc.tau,
+                            u=noise["sel_u1"], hard=rc.hard_selection)
+        s2 = gumbel_softmax(t, self.p_sel_logits.raw, rc.tau,
+                            u=noise["sel_u2"], hard=rc.hard_selection)
         P1 = t.matmul(s1, X)
         P2 = t.matmul(s2, X)
 
@@ -305,7 +306,7 @@ class DiffGa(DiffAlgorithm):
         )
 
         gate = gumbel_sigmoid(t, self.p_cx_logit.raw, rc.tau, u=noise["cx_u"],
-                              shape=(n, 1), hard=rc.hard_masks)
+                              hard=rc.hard_masks)
         crossed = t.add(t.mul_colvec(child, gate),
                         t.mul_colvec(P1, 1.0 - gate))
 
@@ -319,8 +320,7 @@ class DiffGa(DiffAlgorithm):
             lambda: 1.0 - t.pow(t.constant(2.0 * (1.0 - um)), e_m),
         )
         mask = gumbel_sigmoid(t, self.p_mut_logits.raw, rc.tau,
-                              u=noise["mut_gate_u"], shape=(n, d),
-                              hard=rc.hard_masks)
+                              u=noise["mut_gate_u"], hard=rc.hard_masks)
         width = t.constant(dom.width.reshape(1, d))
         mutated = t.add(crossed, t.mul_rowvec(t.mul(mask, delta), width))
         cand = t.clamp(mutated, dom.lower, dom.upper)
@@ -375,7 +375,7 @@ class DiffDe(DiffAlgorithm):
         self.pX = self.tape.param("X", x0)
         self.p_phi = self.tape.param("phi", [[math.log(f_scale)]])
         self.p_cr_logit = self.tape.param("cr_logit", [[_logit(cr)]])
-        self.p_sel_logits = self.tape.param("sel_logits", np.zeros((n, 1)))
+        self.p_sel_logits = self.tape.param("sel_logits", np.zeros((1, n)))
         self.variant = variant
         self.fit = None
         self._initialised = False
@@ -414,12 +414,11 @@ class DiffDe(DiffAlgorithm):
         X = self.pX.raw
         x_prev = X.value.copy()
 
-        sel_row = t.transpose(self.p_sel_logits.raw)
         forbid = np.eye(n, dtype=bool)
 
         def mix(u):
-            s = gumbel_softmax(t, sel_row, rc.tau, u=u, rows=n, forbid=forbid,
-                               hard=rc.hard_selection)
+            s = gumbel_softmax(t, self.p_sel_logits.raw, rc.tau, u=u,
+                               forbid=forbid, hard=rc.hard_selection)
             return t.matmul(s, X)
 
         F = t.exp(self.p_phi.raw)
@@ -432,7 +431,7 @@ class DiffDe(DiffAlgorithm):
             donor = t.add(X, t.add(t.mul(toward_best, F), t.mul(t.sub(x1, x2), F)))
 
         mask = gumbel_sigmoid(t, self.p_cr_logit.raw, rc.tau, u=noise["cross_u"],
-                              shape=(n, d), hard=rc.hard_masks)
+                              hard=rc.hard_masks)
         J = np.zeros((n, d))
         J[np.arange(n), noise["jrand"]] = 1.0
         mask_full = t.add(t.mul(mask, t.constant(1.0 - J)), t.constant(J))
@@ -467,16 +466,32 @@ class DiffDe(DiffAlgorithm):
         self._staged = None
 
 
+def cma_sample(tape: Tape, mu: Var, log_sigma: Var, packed: Var,
+               z: np.ndarray) -> Var:
+    """``CmaState.sample`` as one tape node over the params mu, log sigma
+    and packed L at constant normal draws z; its vjp, the chain rule of
+    mu + (sigma M)ᵀ with M = L z, keeps M, z and sigma, not the dense L."""
+    sigma = float(np.exp(log_sigma.value[0, 0]))
+    X, M = CmaState.sample(mu.value, sigma, packed.value, z)
+
+    def vjp(G):
+        return (G.sum(axis=0, keepdims=True),
+                np.array([[(G.T * M).sum()]]) * sigma,
+                pack_lower((G.T * sigma) @ z.T))
+
+    return tape._record("cma_sample", X, (mu, log_sigma, packed), vjp)
+
+
 class DiffCmaes(DiffAlgorithm):
     """CMA-ES whose mean, log step size and Cholesky factor take gradient
     steps on top of the classical update.
 
     The factor slot ``"L"`` holds only the lower triangle of L, packed row
-    by row into a (1, d(d+1)/2) row (``tape.pack_lower``), so Adam
+    by row into a (1, d(d+1)/2) row (``classic.pack_lower``), so Adam
     steps only the entries that can move; ``factor()`` unpacks it. The
-    generation samples x_i = mu + sigma * L z_i on the tape, with L
-    scattered from the packed row by ``Tape.lower_tri``, and evaluates f at
-    clamp(x_i). The box follows the rule of ``BoxPenalty``:
+    generation samples x_i = mu + sigma * L z_i, classical CMA-ES's own
+    draw, as one tape node (``cma_sample``) and evaluates f at clamp(x_i).
+    The box follows the rule of ``BoxPenalty``:
     selection and the loss see f(clamp x) + sum_j gamma_j (x_j - clamp(x)_j)^2,
     with gamma_j = boost_j * IQR(f) / (sigma^2 * mean(diag C)) held constant
     on the tape, so the loss differentiates with respect to mu, log(sigma)
@@ -529,18 +544,15 @@ class DiffCmaes(DiffAlgorithm):
         cma = self.cma
 
         z = noise["z"]
-        Lm = t.lower_tri(self.p_L.raw, self.problem.dim)
-        sigma = t.exp(self.p_log_sigma.raw)
-        steps = t.mul(t.matmul(Lm, t.constant(z)), sigma)   # (d, lam)
-        Xs = t.add_rowvec(t.transpose(steps), self.p_mu.raw)
+        sigma = float(np.exp(self.p_log_sigma.raw.value[0, 0]))
+        Xs = cma_sample(t, self.p_mu.raw, self.p_log_sigma.raw, self.p_L.raw, z)
         Xc = t.clamp(Xs, dom.lower, dom.upper)
         fit = self.problem.eval_pop(t, Xc)
         f = fit.value.ravel().copy()
 
         sel = fit
         if np.any(Xs.value != Xc.value):
-            gamma = cma.box.weights(np.sort(f), float(sigma.value[0, 0]),
-                                    cma.mean_diag_c)
+            gamma = cma.box.weights(np.sort(f), sigma, cma.mean_diag_c)
             gap = t.sub(Xs, Xc)
             pen = t.mul_rowvec(t.mul(gap, gap), t.constant(gamma.reshape(1, -1)))
             sel = t.add(fit, t.row_sum(pen))
@@ -552,7 +564,7 @@ class DiffCmaes(DiffAlgorithm):
             "sel_fit": sel.value.ravel().copy(),
             "z": z.copy(),
             "mu_prev": self.p_mu.raw.value.ravel().copy(),
-            "sigma_prev": float(np.exp(self.p_log_sigma.raw.value[0, 0])),
+            "sigma_prev": sigma,
         }
         return self._loss_from(sel)
 

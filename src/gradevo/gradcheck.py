@@ -6,8 +6,8 @@ central differences with step h. The error metric per element is
 magnitude above one and absolute below, which keeps the check meaningful
 when the true gradient is near zero.
 
-``op_checks`` covers every differentiable tape operation, the wine MLP
-loss node and each benchmark's node at generic random points (inputs kept
+``op_checks`` covers every differentiable tape operation and the wine,
+benchmark and CMA-ES sample nodes at generic random points (inputs kept
 away from kinks and branch boundaries so the finite difference is valid).
 ``generation_checks`` differentiates one full generation of each of the
 four learnable algorithms with frozen noise, run in fully soft mode:
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diffevo import DiffCmaes, DiffConfig, DiffDe, DiffGa, DiffPso
+from .diffevo import DiffCmaes, DiffConfig, DiffDe, DiffGa, DiffPso, cma_sample
 from .problems import benchmark_names, make_problem
 from .relax import RelaxConfig, Rng
 from .tape import Param, Tape, Var
@@ -178,10 +178,6 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     b = t.param("b", _away_from(rng, (3, 2), -2, 2))
     run("matmul", lambda: weighted(t, t.matmul(a.raw, b.raw)), t)
 
-    t = Tape()
-    a = t.param("a", _away_from(rng, (2, 4), -2, 2))
-    run("transpose", lambda: weighted(t, t.transpose(a.raw)), t)
-
     # --- row and column broadcasts
     t = Tape()
     a = t.param("a", _away_from(rng, (3, 4), -2, 2))
@@ -228,17 +224,13 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     results.append(CheckResult("op:straight_through",
                                max(_err(st_grad, soft_grad), errs["a"])))
 
-    # --- packed lower triangle (drawn last, so the points above stay put)
-    t = Tape()
-    a = t.param("a", _away_from(rng, (1, 6), -2, 2))
-    run("lower_tri", lambda: weighted(t, t.lower_tri(a.raw, 3)), t)
-
     # --- the wine MLP loss node, k = 3 networks on 6 rows (drawn last)
     spec = MlpSpec(n_in=3, n_hidden=4)
     prob = WineProblem(rng.normal(6, 3), rng.normal(6, 1), spec)
     t = Tape()
     a = t.param("a", _away_from(rng, (3, spec.n_params), -1, 1))
-    run("mlp_mse", lambda: weighted(t, prob.eval_pop(t, a.raw)), t)
+    run("mlp_mse", lambda: weighted(t, prob.eval_pop(t, a.raw)), t,
+        kind="wine")
 
     # --- each benchmark's node, 3 points in 4-D (drawn after the wine
     # check, so the points above stay put); no coordinate near 0 keeps
@@ -250,6 +242,15 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
                                     margin=0.1))
         run(name, lambda t=t, a=a, prob=prob:
             weighted(t, prob.eval_pop(t, a.raw)), t, kind="problem")
+
+    # --- the CMA-ES sample node, d = 3 and lambda = 4 (drawn last)
+    t = Tape()
+    mu = t.param("mu", _away_from(rng, (1, 3), -2, 2))
+    s = t.param("log_sigma", _away_from(rng, (1, 1), -1, 1))
+    L = t.param("L", _away_from(rng, (1, 6), -2, 2))
+    z = rng.normal(3, 4)
+    run("sample", lambda: weighted(t, cma_sample(t, mu.raw, s.raw, L.raw, z)),
+        t, kind="cma")
 
     return results
 

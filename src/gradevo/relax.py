@@ -1,8 +1,8 @@
 """Reparameterized stochastic building blocks.
 
 Two samplers cover the discrete random operators in the differentiable
-algorithms (the CMA-ES Gaussian sample, mean + sigma * L z, is written
-inline in ``DiffCmaes``):
+algorithms (the CMA-ES Gaussian sample, mean + sigma * L z, is
+``classic.CmaState.sample``, recorded on the tape by ``diffevo.cma_sample``):
 
 * ``gumbel_sigmoid``: Binary-Concrete relaxation of a Bernoulli gate,
   soft = sigmoid((log u - log(1 - u) + alpha) / tau), optionally followed by
@@ -14,9 +14,9 @@ inline in ``DiffCmaes``):
   temperature.
 
 Noise enters as plain constants, so gradients flow only through the
-distribution parameters (the pathwise estimator). Both samplers accept the
-uniform draws explicitly, which is what frozen-noise gradient checks
-and the classical-equivalence tests rely on.
+distribution parameters (the pathwise estimator). Both samplers take the
+uniform draws ``u``, of the output's shape, from the caller, so frozen-noise
+gradient checks and the classical-equivalence tests pass their own.
 """
 
 from __future__ import annotations
@@ -105,20 +105,16 @@ def _broadcast_logits(tape: Tape, noise_c: Var, alpha: Var, inv_tau: float) -> V
     )
 
 
-def gumbel_sigmoid(tape: Tape, alpha: Var, tau: float = 1.0, rng: Rng = None,
-                   u: np.ndarray = None, shape=None, hard: bool = True) -> Var:
-    """Relaxed Bernoulli gate with logit ``alpha``.
+def gumbel_sigmoid(tape: Tape, alpha: Var, tau: float = 1.0, *,
+                   u: np.ndarray, hard: bool = True) -> Var:
+    """Relaxed Bernoulli gates of the shape of the uniform draws ``u``,
+    with logit ``alpha`` a scalar, a row or of that shape.
 
     Returns soft values in (0, 1), or with ``hard`` a straight-through mask
     whose forward entries are exactly 0.0 or 1.0 (threshold soft > 0.5).
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    if u is None:
-        if rng is None:
-            raise ValueError("need either rng or explicit u")
-        out_shape = shape if shape is not None else alpha.shape
-        u = rng.uniform(*out_shape)
     u = np.clip(np.asarray(u, dtype=np.float64), _UCLIP, 1.0 - _UCLIP)
     noise_c = tape.constant(logistic_noise(u) / tau)
     s = _broadcast_logits(tape, noise_c, alpha, 1.0 / tau)
@@ -129,31 +125,25 @@ def gumbel_sigmoid(tape: Tape, alpha: Var, tau: float = 1.0, rng: Rng = None,
     return tape.straight_through(tape.constant(hard_vals), soft)
 
 
-def gumbel_softmax(tape: Tape, logits: Var, tau: float = 1.0, rng: Rng = None,
-                   u: np.ndarray = None, rows: int = 1, forbid=None,
-                   hard: bool = False) -> Var:
-    """Relaxed categorical rows over shared ``logits``.
+def gumbel_softmax(tape: Tape, logits: Var, tau: float = 1.0, *,
+                   u: np.ndarray, forbid=None, hard: bool = False) -> Var:
+    """Relaxed categorical rows over the shared (1, N) ``logits`` row.
 
-    ``logits`` is a (1, N) row (a (N, 1) column is transposed on the fly) and
-    the result has ``rows`` independent rows, each a point on the simplex.
-    ``forbid`` is an optional boolean (rows, N) mask of categories forced to
-    exactly zero weight (used to keep an individual from selecting itself).
-    With ``hard`` the forward is the one-hot argmax, straight-through.
+    The uniform draws ``u`` are (rows, N), and the result has that many
+    independent rows, each a point on the simplex. ``forbid`` is an
+    optional boolean (rows, N) mask of categories forced to exactly zero
+    weight (used to keep an individual from selecting itself). With
+    ``hard`` the forward is the one-hot argmax, straight-through.
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    if logits.cols == 1 and logits.rows > 1:
-        logits = tape.transpose(logits)
     n = logits.cols
     if n < 2:
         raise ValueError(f"categorical relaxation needs >= 2 categories, got {n}")
-    if u is None:
-        if rng is None:
-            raise ValueError("need either rng or explicit u")
-        u = rng.uniform(rows, n)
     u = np.clip(np.asarray(u, dtype=np.float64), _UCLIP, 1.0 - _UCLIP)
-    if u.shape != (rows, n):
-        raise ValueError(f"u has shape {u.shape}, expected ({rows}, {n})")
+    if u.ndim != 2 or u.shape[1] != n:
+        raise ValueError(f"u has shape {u.shape}, expected (rows, {n})")
+    rows = u.shape[0]
     g = -np.log(-np.log(u))   # standard Gumbel noise
     if forbid is not None:
         forbid = np.asarray(forbid, dtype=bool)

@@ -20,8 +20,9 @@ column-vector broadcasts have their own dedicated ops so the intent is
 explicit in the graph.
 
 A composite function with a hand-written vjp records itself as one node
-through ``Tape._record``: the wine MLP loss (``WineProblem.eval_pop``) and
-each benchmark function (``BenchmarkProblem.eval_pop``).
+through ``Tape._record``: the wine MLP loss (``WineProblem.eval_pop``),
+each benchmark function (``BenchmarkProblem.eval_pop``) and the CMA-ES
+sample (``diffevo.cma_sample``).
 
 Trainable leaves are created through :meth:`Tape.param` and survive
 :meth:`Tape.reset`, which drops every other node so the next generation can
@@ -31,7 +32,6 @@ be recorded on a short tape.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dtpttr, dtrttp
 
 Array = np.ndarray
 
@@ -55,19 +55,6 @@ def _sigmoid(x):
     # stable two-branch logistic
     return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
-# A lower triangle packed row by row is, element for element, the upper
-# triangle of its transpose packed column by column: LAPACK's packed
-# layout with uplo 'U'. dtpttr and dtrttp then copy it exactly.
-def unpack_lower(packed: Array, n: int) -> Array:
-    """The C-contiguous (n, n) lower-triangular matrix of a packed row."""
-    return dtpttr(n, packed.ravel(), uplo="U")[0].T
-
-
-def pack_lower(L: Array) -> Array:
-    """The (1, n(n+1)/2) row of the lower triangle of L, row by row."""
-    return dtrttp(L.T, uplo="U")[0].reshape(1, -1)
 
 
 def _reduce_to(g: Array, shape) -> Array:
@@ -349,21 +336,6 @@ class Tape:
             return (g @ bv.T if na else None), (av.T @ g if nb else None)
 
         return self._record("matmul", av @ bv, (a, b), vjp)
-
-    def transpose(self, a: Var) -> Var:
-        return self._record("transpose", a.value.T.copy(), (a,), lambda g: (g.T,))
-
-    def lower_tri(self, a: Var, n: int) -> Var:
-        """(n, n) lower-triangular matrix from its packed (1, n(n+1)/2) row,
-        filled row by row (the order of ``np.tril_indices``)."""
-        m = n * (n + 1) // 2
-        if a.shape != (1, m):
-            raise ValueError(f"lower_tri: packed row must be (1, {m}), got {a.shape}")
-
-        def vjp(g):
-            return (pack_lower(g),)
-
-        return self._record("lower_tri", unpack_lower(a.value, n), (a,), vjp)
 
     # ------------------------------------------------------------------
     # row and column broadcasts

@@ -47,15 +47,15 @@ def test_criterion_2_relaxation_statistics():
     for alpha in (-2.0, 0.0, 2.0):
         t = Tape()
         y = gumbel_sigmoid(t, t.constant([[alpha]]), tau=1.0,
-                           rng=Rng(11), shape=(1, n), hard=True)
+                           u=Rng(11).uniform(1, n), hard=True)
         p = 1.0 / (1.0 + np.exp(-alpha))
         se = np.sqrt(p * (1.0 - p) / n)
         sig_ok = sig_ok and abs(float(y.value.mean()) - p) < 3.0 * se
 
     k = 4
     t = Tape()
-    y = gumbel_softmax(t, t.constant(np.zeros((1, k))), rng=Rng(3),
-                       rows=n, hard=True)
+    y = gumbel_softmax(t, t.constant(np.zeros((1, k))),
+                       u=Rng(3).uniform(n, k), hard=True)
     counts = y.value.sum(axis=0)
     p = 1.0 / k
     se = np.sqrt(p * (1.0 - p) * n)

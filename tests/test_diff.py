@@ -6,14 +6,28 @@ import math
 import numpy as np
 import pytest
 
-from gradevo import classic
-from gradevo.classic import ClassicCmaes, ClassicDe, ClassicPso
-from gradevo.diffevo import DiffCmaes, DiffConfig, DiffDe, DiffGa, DiffPso
-from gradevo.harness import ExperimentConfig, run_single
+from gradevo import classic, cli
+from gradevo.classic import (
+    ClassicCmaes,
+    ClassicDe,
+    ClassicPso,
+    CmaState,
+    pack_lower,
+    unpack_lower,
+)
+from gradevo.diffevo import (
+    DiffCmaes,
+    DiffConfig,
+    DiffDe,
+    DiffGa,
+    DiffPso,
+    cma_sample,
+)
+from gradevo.harness import CLASSIC_ALGORITHMS, ExperimentConfig, run_single
 from gradevo.outer import Adam, run_loop
 from gradevo.problems import benchmark_names, make_problem
 from gradevo.relax import RelaxConfig, Rng
-from gradevo.tape import unpack_lower
+from gradevo.tape import Tape
 
 ALGOS = {
     "pso-diff": DiffPso,
@@ -52,6 +66,27 @@ def test_pso_matches_classical_with_shared_noise():
         assert abs(diff.best_fitness - classic.best_fitness) < 1e-10
 
 
+def test_pso_at_lr_zero_is_classical_pso_bit_for_bit():
+    # the pulls multiply in the order of kernels.pso_step, so every
+    # position, velocity and best is ClassicPso's exactly
+    prob = make_problem("rosenbrock", 6)
+    rng = Rng(4)
+    X0 = prob.domain.sample(rng, 8)
+    ref = ClassicPso(make_problem("rosenbrock", 6), pop_size=8, rng=Rng(1),
+                     init=X0)
+    diff = DiffPso(prob, pop_size=8, rng=Rng(2), init=X0)
+    opt = Adam(diff.parameters(), lr=0.0)
+    for _ in range(10):
+        noise = {"r1": rng.uniform(8, 6), "r2": rng.uniform(8, 6)}
+        ref.generation(dict(noise))
+        _diff_step(diff, opt, dict(noise))
+        np.testing.assert_array_equal(diff.pX.raw.value, ref.X)
+        np.testing.assert_array_equal(diff.V, ref.V)
+        np.testing.assert_array_equal(diff.pbest, ref.pbest)
+        np.testing.assert_array_equal(diff.pfit, ref.pfit)
+        assert diff.best_fitness == ref.best_fitness
+
+
 def test_de_matches_classical_with_shared_noise():
     # classical index picks map onto hard Gumbel-Softmax rows by putting the
     # largest uniform at the chosen parent; the crossover draw maps through
@@ -88,7 +123,7 @@ def test_de_matches_classical_with_shared_noise():
 
 
 def _diff_step(algo, opt, noise=None):
-    """One DiffCmaes generation committed after an optimizer step."""
+    """One differentiable generation committed after an optimizer step."""
     algo.tape.zero_grad()
     loss = algo.generation(noise)
     algo.tape.backward(loss)
@@ -125,6 +160,50 @@ def test_cmaes_hard_limit_matches_classical_with_shared_noise(
         assert abs(diff.best_fitness - ref.best_fitness) < 1e-10
     # samples clipped: the penalty set a weight from a positive fitness spread
     assert ref.cma.box.unit != 1.0
+
+
+def test_cma_sample_node_is_the_classical_draw():
+    # one node holds CmaState.sample's draws; its vjp is the chain rule of
+    # mu + (sigma L z)ᵀ and keeps no dense (d, d) factor
+    d, lam = 6, 4
+    g = np.random.default_rng(0)
+    mu, packed = g.normal(size=(1, d)), g.normal(size=(1, d * (d + 1) // 2))
+    log_sigma, z = np.array([[-0.3]]), g.normal(size=(d, lam))
+    sigma = math.exp(-0.3)
+    X_ref, M = CmaState.sample(mu, sigma, packed, z)
+    L = unpack_lower(packed, d)
+    assert X_ref.flags.c_contiguous and X_ref.shape == (lam, d)
+    np.testing.assert_array_equal(M, L @ z)
+    np.testing.assert_array_equal(X_ref, mu + sigma * (L @ z).T)
+
+    t = Tape()
+    pm, ps, pl = (t.param(n, v) for n, v in
+                  (("mu", mu), ("log_sigma", log_sigma), ("L", packed)))
+    X = cma_sample(t, pm.raw, ps.raw, pl.raw, z)
+    assert len(t.nodes) == 4 and X.op == "cma_sample"
+    np.testing.assert_array_equal(X.value, X_ref)
+    G = g.normal(size=(lam, d))
+    t.backward(t.sum(t.mul(X, t.constant(G))))
+    np.testing.assert_allclose(pm.raw.grad, G.sum(axis=0, keepdims=True),
+                               rtol=1e-14)
+    np.testing.assert_allclose(ps.raw.grad, [[sigma * np.sum(G.T * (L @ z))]],
+                               rtol=1e-14)
+    np.testing.assert_allclose(pl.raw.grad, pack_lower(sigma * G.T @ z.T),
+                               rtol=1e-14)
+    kept = [c.cell_contents for c in X._vjp.__closure__]
+    assert all(getattr(v, "shape", None) != (d, d) for v in kept)
+
+
+def test_both_cmaes_arms_need_two_offspring(tmp_path, capsys):
+    for cls in (ClassicCmaes, DiffCmaes):
+        with pytest.raises(ValueError, match="at least 2 offspring"):
+            cls(make_problem("sphere", 5), pop_size=1, rng=Rng(0))
+    for algo in ("cmaes", "cmaes-diff"):
+        rc = cli.main(["run", "--algo", algo, "--problem", "sphere",
+                       "--dim", "5", "--pop", "1", "--budget", "20",
+                       "--runs", "1", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "CMA-ES needs at least 2 offspring" in capsys.readouterr().err
 
 
 # --- gradients exist and flow to the learnable knobs -------------------------
@@ -296,14 +375,17 @@ def test_cmaes_box_keeps_mean_off_ackley_corners():
     assert prob.eval_array(algo.best_x[None, :])[0] == algo.best_fitness
 
 
-@pytest.mark.parametrize("name", list(ALGOS))
+@pytest.mark.parametrize("name", list(ALGOS) + list(CLASSIC_ALGORITHMS))
 @pytest.mark.parametrize("problem", benchmark_names())
 def test_best_fitness_is_the_array_value_of_best_x(name, problem):
-    # the fitness node's value is the array kernel's, so the recorded best
-    # is, bit for bit, what a classical run would score at best_x
-    prob = make_problem(problem, 5)
-    algo = ALGOS[name](prob, pop_size=10, rng=Rng(3))
-    opt = Adam(algo.parameters(), lr=0.01)
+    # the fitness node's value is the array kernel's, and every arm
+    # evaluates C-ordered rows, so the recorded best is, bit for bit, the
+    # array value of best_x; the classical arms run at d = 30, since a
+    # 5-term row sum is too short for its order to show
+    classical = name in CLASSIC_ALGORITHMS
+    prob = make_problem(problem, 30 if classical else 5)
+    algo = {**ALGOS, **CLASSIC_ALGORITHMS}[name](prob, pop_size=10, rng=Rng(3))
+    opt = None if classical else Adam(algo.parameters(), lr=0.01)
     records, err = run_loop(algo, prob, max_evals=30 * 10, optimizer=opt)
     assert err is None and len(records) == 30
     value = prob.eval_array(algo.best_x[None, :])[0]

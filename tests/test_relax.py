@@ -15,7 +15,7 @@ def test_gumbel_sigmoid_hard_rate_matches_sigmoid_alpha():
         for tau in (0.3, 1.0):
             t = Tape()
             a = t.constant([[alpha]])
-            y = gumbel_sigmoid(t, a, tau=tau, rng=Rng(11), shape=(1, N_MC), hard=True)
+            y = gumbel_sigmoid(t, a, tau=tau, u=Rng(11).uniform(1, N_MC), hard=True)
             rate = float(y.value.mean())
             p = 1.0 / (1.0 + np.exp(-alpha))
             se = np.sqrt(p * (1 - p) / N_MC)
@@ -24,8 +24,8 @@ def test_gumbel_sigmoid_hard_rate_matches_sigmoid_alpha():
 
 def test_gumbel_sigmoid_soft_saturates_with_alpha():
     t = Tape()
-    hi = gumbel_sigmoid(t, t.constant([[40.0]]), rng=Rng(0), shape=(1, 64), hard=False)
-    lo = gumbel_sigmoid(t, t.constant([[-40.0]]), rng=Rng(0), shape=(1, 64), hard=False)
+    hi = gumbel_sigmoid(t, t.constant([[40.0]]), u=Rng(0).uniform(1, 64), hard=False)
+    lo = gumbel_sigmoid(t, t.constant([[-40.0]]), u=Rng(0).uniform(1, 64), hard=False)
     assert np.all(hi.value > 0.999999)
     assert np.all(lo.value < 0.000001)
 
@@ -60,7 +60,7 @@ def test_gumbel_softmax_uniform_logits_pick_uniformly():
     t = Tape()
     logits = t.constant(np.zeros((1, k)))
     rows = 20_000
-    y = gumbel_softmax(t, logits, rng=Rng(3), rows=rows, hard=True)
+    y = gumbel_softmax(t, logits, u=Rng(3).uniform(rows, k), hard=True)
     counts = y.value.sum(axis=0)
     p = 1.0 / k
     se = np.sqrt(p * (1 - p) * rows)
@@ -74,7 +74,8 @@ def test_gumbel_softmax_hard_argmax_follows_softmax_of_nonuniform_logits():
     logits = np.array([[1.0, 0.0, -1.0, 0.5]])
     rows = 200_000
     t = Tape()
-    y = gumbel_softmax(t, t.constant(logits), rng=Rng(7), rows=rows, hard=True)
+    y = gumbel_softmax(t, t.constant(logits), u=Rng(7).uniform(rows, 4),
+                       hard=True)
     p = np.exp(logits[0]) / np.exp(logits[0]).sum()
     se = np.sqrt(p * (1 - p) * rows)
     assert np.all(np.abs(y.value.sum(axis=0) - rows * p) < 3 * se)
@@ -83,9 +84,9 @@ def test_gumbel_softmax_hard_argmax_follows_softmax_of_nonuniform_logits():
 def test_gumbel_softmax_rows_sum_to_one():
     t = Tape()
     logits = t.constant([[0.5, -1.0, 2.0]])
-    soft = gumbel_softmax(t, logits, tau=0.8, rng=Rng(5), rows=6, hard=False)
+    soft = gumbel_softmax(t, logits, tau=0.8, u=Rng(5).uniform(6, 3), hard=False)
     np.testing.assert_allclose(soft.value.sum(axis=1), np.ones(6), rtol=1e-12)
-    hard = gumbel_softmax(t, logits, rng=Rng(5), rows=6, hard=True)
+    hard = gumbel_softmax(t, logits, u=Rng(5).uniform(6, 3), hard=True)
     np.testing.assert_allclose(hard.value.sum(axis=1), np.ones(6))
     assert set(np.unique(hard.value)) <= {0.0, 1.0}
 
@@ -95,7 +96,8 @@ def test_gumbel_softmax_forbid_mask_excludes_columns():
     n = 5
     logits = t.constant(np.zeros((1, n)))
     forbid = np.eye(n, dtype=bool)
-    y = gumbel_softmax(t, logits, rng=Rng(9), rows=n, forbid=forbid, hard=True)
+    y = gumbel_softmax(t, logits, u=Rng(9).uniform(n, n), forbid=forbid,
+                       hard=True)
     assert np.all(np.diag(y.value) == 0.0)
 
 
@@ -114,7 +116,7 @@ def test_gumbel_softmax_gradient_with_frozen_noise():
     def value(s):
         t = Tape()
         p = t.param("s", s)
-        y = gumbel_softmax(t, p.raw, tau=0.9, u=u, rows=2, hard=False)
+        y = gumbel_softmax(t, p.raw, tau=0.9, u=u, hard=False)
         w = t.constant(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.25]]))
         loss = t.sum(t.mul(y, w))
         return t, p, loss

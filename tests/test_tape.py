@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gradevo import cli
-from gradevo.tape import Tape, pack_lower, unpack_lower
+from gradevo.classic import pack_lower, unpack_lower
+from gradevo.gradcheck import op_checks
+from gradevo.tape import Tape
 
 
 def grad_of(tape, param):
@@ -226,49 +228,34 @@ def test_nodes_no_param_reaches_get_no_gradient():
 
 
 def test_fan_out_gradients_match_numpy_and_accumulate():
-    # one param feeds add(x, x), two matmuls, straight_through and
-    # transpose; add(x, x) is recorded last, so backward reaches it first
-    # and x's first contribution is the very array add hands to both parents,
-    # and transpose's vjp hands x a view of its own gradient
+    # one param feeds add(x, x), two matmuls and straight_through;
+    # add(x, x) is recorded last, so backward reaches it first and x's
+    # first contribution is the very array add hands to both parents
     g = np.random.default_rng(5)
     X = g.normal(size=(3, 2))
     W, M = g.normal(size=(2, 4)), g.normal(size=(3, 3))
-    C1, C2, C3, C4 = (g.normal(size=s) for s in ((3, 4), (3, 2), (3, 2), (2, 3)))
+    C1, C2, C3 = (g.normal(size=s) for s in ((3, 4), (3, 2), (3, 2)))
     t = Tape()
     p = t.param("x", X)
     x = p.raw
     right = t.matmul(t.constant(M), x)
     hard = t.straight_through(t.constant(np.sign(X)), x)
-    xt = t.transpose(x)
     twice = t.add(x, x)
     left = t.matmul(twice, t.constant(W))
     parts = [t.sum(t.mul(v, t.constant(c)))
-             for v, c in ((left, C1), (right, C2), (hard, C3), (xt, C4))]
-    loss = t.add(t.add(parts[0], parts[1]), t.add(parts[2], parts[3]))
+             for v, c in ((left, C1), (right, C2), (hard, C3))]
+    loss = t.add(t.add(parts[0], parts[1]), parts[2])
 
-    expect = 2.0 * C1 @ W.T + M.T @ C2 + C3 + C4.T
+    expect = 2.0 * C1 @ W.T + M.T @ C2 + C3
     t.backward(loss)
     np.testing.assert_allclose(grad_of(t, p), expect, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(twice.grad, C1 @ W.T, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(hard.grad, C3)
-    np.testing.assert_array_equal(xt.grad, C4)
-    first = {v.nid: v.grad.copy() for v in (x, twice, left, right, hard, xt)}
+    first = {v.nid: v.grad.copy() for v in (x, twice, left, right, hard)}
     t.backward(loss)
-    for v in (x, twice, left, right, hard, xt):
+    for v in (x, twice, left, right, hard):
         np.testing.assert_array_equal(v.grad, 2.0 * first[v.nid])
     assert all(n.grad is None for n in t.nodes if not n.needs_grad)
-
-
-def test_lower_tri_scatters_rows_and_gathers_gradient():
-    t = Tape()
-    p = t.param("l", [[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]])
-    L = t.lower_tri(p.raw, 3)
-    np.testing.assert_array_equal(
-        L.value, [[1.0, 0.0, 0.0], [2.0, 3.0, 0.0], [4.0, 5.0, 6.0]])
-    assert L.value.flags.c_contiguous
-    w = np.arange(9, dtype=float).reshape(3, 3)
-    t.backward(t.sum(t.mul(L, t.constant(w))))
-    np.testing.assert_array_equal(grad_of(t, p), [w[np.tril_indices(3)]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 100])
@@ -285,13 +272,6 @@ def test_lapack_pack_and_unpack_are_the_row_by_row_scatter(n):
     full = np.random.default_rng(n + 1).normal(size=(n, n))
     np.testing.assert_array_equal(pack_lower(full), full.ravel()[idx][None, :])
     np.testing.assert_array_equal(pack_lower(got), packed)
-
-
-@pytest.mark.parametrize("shape", [(1, 5), (1, 7), (6, 1)])
-def test_lower_tri_rejects_a_wrong_packed_row(shape):
-    t = Tape()
-    with pytest.raises(ValueError, match="lower_tri"):
-        t.lower_tri(t.constant(np.ones(shape)), 3)
 
 
 def test_every_tape_op_is_reached(tmp_path, monkeypatch, capsys):
@@ -325,3 +305,14 @@ def test_every_tape_op_is_reached(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     unreached = sorted(set(public) - called - {"sum"})
     assert not unreached, unreached
+
+
+def test_gradcheck_covers_every_tape_op():
+    # every public Tape method that records a differentiable node has an
+    # ``op:`` finite-difference check, and every such check names one
+    not_ops = {"constant", "param", "backward", "zero_grad", "reset"}
+    ops = {n for n, v in vars(Tape).items()
+           if callable(v) and not n.startswith("_")} - not_ops
+    checked = {r.name.split(":")[1] for r in op_checks()
+               if r.name.startswith("op:")}
+    assert checked == ops, (sorted(ops - checked), sorted(checked - ops))
