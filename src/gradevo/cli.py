@@ -82,7 +82,7 @@ def _cmd_suite(args) -> int:
     dims = [int(d) for d in args.dims.split(",")] if args.dims else list(GRID_DIMS)
     algos = args.algos.split(",") if args.algos else list(GRID_ALGOS)
     base = _cli_overrides(args)
-    failures = 0
+    cfgs = []
     for problem in problems:
         for dim in dims:
             for algo in algos:
@@ -96,11 +96,15 @@ def _cmd_suite(args) -> int:
                 if algo == "cmaes-diff":
                     # same interior start as the scale study
                     vals.setdefault("sigma0", 1.0)
-                try:
-                    run_experiment(ExperimentConfig(**vals))
-                except RuntimeError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    failures += 1
+                cfgs.append(ExperimentConfig(**vals))
+    # every cell's config is checked before the first cell runs
+    failures = 0
+    for cfg in cfgs:
+        try:
+            run_experiment(cfg)
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            failures += 1
     return 1 if failures else 0
 
 

@@ -173,11 +173,10 @@ class DiffPso(DiffAlgorithm):
         pb = t.constant(self.pbest)
         gb = t.constant(self.best_x.reshape(1, -1))
 
-        inertia = t.mul_colvec(v_const, self.p_omega.raw)
+        inertia = t.mul(v_const, self.p_omega.raw)
         # kernels.pso_step's product order: at lr 0 this is ClassicPso exactly
-        cognitive = t.mul(t.mul_colvec(r1, self.p_c1.raw), t.sub(pb, X))
-        social = t.mul(t.mul_colvec(r2, self.p_c2.raw),
-                       t.add_rowvec(t.neg(X), gb))
+        cognitive = t.mul(t.mul(r1, self.p_c1.raw), t.sub(pb, X))
+        social = t.mul(t.mul(r2, self.p_c2.raw), t.sub(gb, X))
         v_new = t.clamp(t.add(t.add(inertia, cognitive), social),
                         -self.vmax, self.vmax)
         x_new = t.clamp(t.add(X, v_new), dom.lower, dom.upper)
@@ -307,8 +306,7 @@ class DiffGa(DiffAlgorithm):
 
         gate = gumbel_sigmoid(t, self.p_cx_logit.raw, rc.tau, u=noise["cx_u"],
                               hard=rc.hard_masks)
-        crossed = t.add(t.mul_colvec(child, gate),
-                        t.mul_colvec(P1, 1.0 - gate))
+        crossed = t.add(t.mul(child, gate), t.mul(P1, 1.0 - gate))
 
         # polynomial mutation offset scaled by the box width, gated per gene
         eta_m = t.exp(self.p_log_eta_m.raw)
@@ -322,7 +320,7 @@ class DiffGa(DiffAlgorithm):
         mask = gumbel_sigmoid(t, self.p_mut_logits.raw, rc.tau,
                               u=noise["mut_gate_u"], hard=rc.hard_masks)
         width = t.constant(dom.width.reshape(1, d))
-        mutated = t.add(crossed, t.mul_rowvec(t.mul(mask, delta), width))
+        mutated = t.add(crossed, t.mul(t.mul(mask, delta), width))
         cand = t.clamp(mutated, dom.lower, dom.upper)
 
         fit = self.problem.eval_pop(t, cand)
@@ -427,7 +425,7 @@ class DiffDe(DiffAlgorithm):
             donor = t.add(x1, t.mul(t.sub(x2, x3), F))
         else:
             x1, x2 = mix(noise["sel_u1"]), mix(noise["sel_u2"])
-            toward_best = t.add_rowvec(t.neg(X), t.constant(self.best_x.reshape(1, d)))
+            toward_best = t.sub(t.constant(self.best_x.reshape(1, d)), X)
             donor = t.add(X, t.add(t.mul(toward_best, F), t.mul(t.sub(x1, x2), F)))
 
         mask = gumbel_sigmoid(t, self.p_cr_logit.raw, rc.tau, u=noise["cross_u"],
@@ -554,7 +552,7 @@ class DiffCmaes(DiffAlgorithm):
         if np.any(Xs.value != Xc.value):
             gamma = cma.box.weights(np.sort(f), sigma, cma.mean_diag_c)
             gap = t.sub(Xs, Xc)
-            pen = t.mul_rowvec(t.mul(gap, gap), t.constant(gamma.reshape(1, -1)))
+            pen = t.mul(t.mul(gap, gap), t.constant(gamma.reshape(1, -1)))
             sel = t.add(fit, t.row_sum(pen))
 
         self._staged = {

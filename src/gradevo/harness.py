@@ -109,8 +109,6 @@ class ExperimentConfig:
             )
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.pop < 1:
             raise ValueError(f"pop must be >= 1, got {self.pop}")
         if self.budget < self.pop:
@@ -125,6 +123,8 @@ class ExperimentConfig:
             raise ValueError(f"sigma0 must be >= 0, got {self.sigma0}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if not 0.0 < self.lr_factor < 1.0:
+            raise ValueError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
         if self.min_lr < 0.0:
             raise ValueError(f"min_lr must be >= 0, got {self.min_lr}")
         if self.workers < 1:
@@ -145,6 +145,9 @@ class ExperimentConfig:
                     raise ValueError(
                         f"{f.name} does not apply to the wine problem, got {value}"
                     )
+        else:
+            # the benchmark holds its own rules on dim, lo and hi
+            make_problem(self.problem, self.dim, self.lo, self.hi)
 
     def resolved_label(self) -> str:
         if self.label:

@@ -16,7 +16,9 @@ algorithms (the CMA-ES Gaussian sample, mean + sigma * L z, is
 Noise enters as plain constants, so gradients flow only through the
 distribution parameters (the pathwise estimator). Both samplers take the
 uniform draws ``u``, of the output's shape, from the caller, so frozen-noise
-gradient checks and the classical-equivalence tests pass their own.
+gradient checks and the classical-equivalence tests pass their own. The
+scaled logits join the noise through plain ``Tape.add``, so a scalar, row,
+column or full-shape logit broadcasts onto the draws by the tape's one rule.
 """
 
 from __future__ import annotations
@@ -93,22 +95,10 @@ def logistic_noise(u: np.ndarray) -> np.ndarray:
     return np.log(u) - np.log1p(-u)
 
 
-def _broadcast_logits(tape: Tape, noise_c: Var, alpha: Var, inv_tau: float) -> Var:
-    """(noise + alpha) / tau with alpha scalar, row vector, or full shape."""
-    a_scaled = tape.mul(alpha, tape.constant([[inv_tau]]))
-    if alpha.shape == noise_c.shape or alpha.shape == (1, 1):
-        return tape.add(noise_c, a_scaled)
-    if alpha.rows == 1 and alpha.cols == noise_c.cols:
-        return tape.add_rowvec(noise_c, a_scaled)
-    raise ValueError(
-        f"alpha shape {alpha.shape} does not broadcast onto {noise_c.shape}"
-    )
-
-
 def gumbel_sigmoid(tape: Tape, alpha: Var, tau: float = 1.0, *,
                    u: np.ndarray, hard: bool = True) -> Var:
     """Relaxed Bernoulli gates of the shape of the uniform draws ``u``,
-    with logit ``alpha`` a scalar, a row or of that shape.
+    with logit ``alpha`` a scalar, a row, a column or of that shape.
 
     Returns soft values in (0, 1), or with ``hard`` a straight-through mask
     whose forward entries are exactly 0.0 or 1.0 (threshold soft > 0.5).
@@ -117,7 +107,7 @@ def gumbel_sigmoid(tape: Tape, alpha: Var, tau: float = 1.0, *,
         raise ValueError(f"temperature must be positive, got {tau}")
     u = np.clip(np.asarray(u, dtype=np.float64), _UCLIP, 1.0 - _UCLIP)
     noise_c = tape.constant(logistic_noise(u) / tau)
-    s = _broadcast_logits(tape, noise_c, alpha, 1.0 / tau)
+    s = tape.add(noise_c, tape.mul(alpha, tape.constant([[1.0 / tau]])))
     soft = tape.sigmoid(s)
     if not hard:
         return soft
@@ -156,10 +146,10 @@ def gumbel_softmax(tape: Tape, logits: Var, tau: float = 1.0, *,
     shift = total.max(axis=1, keepdims=True)
     noise_c = tape.constant((g - shift) / tau)
     a_scaled = tape.mul(logits, tape.constant([[1.0 / tau]]))
-    s = tape.add_rowvec(noise_c, a_scaled)
+    s = tape.add(noise_c, a_scaled)
     e = tape.exp(s)
     denom = tape.row_sum(e)
-    soft = tape.mul_colvec(e, tape.powc(denom, -1.0))
+    soft = tape.mul(e, tape.powc(denom, -1.0))
     if not hard:
         return soft
     winners = np.argmax(soft.value, axis=1)

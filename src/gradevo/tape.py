@@ -13,11 +13,12 @@ records no vjp and no parents, and an op's vjp computes only the parent
 gradients whose parent needs one, returning None for the others. Constants
 and everything computed from constants alone keep ``grad`` None.
 
-Shape rules are strict: binary elementwise ops require identical shapes, with
-the single exception that a (1, 1) scalar broadcasts against any shape (the
-scalar's gradient is then the sum over the broadcast positions). Row- and
-column-vector broadcasts have their own dedicated ops so the intent is
-explicit in the graph.
+Binary elementwise ops (``add``, ``sub``, ``mul``, ``pow``) follow one
+broadcasting rule: one operand may be stretched onto the other's shape along
+its axes of length 1 (a (1, 1) scalar, a (1, m) row or an (n, 1) column
+against (n, m)), and its gradient is summed back over the stretched axes.
+The result always has one operand's shape, so an outer broadcast such as
+(n, 1) with (1, m) raises.
 
 A composite function with a hand-written vjp records itself as one node
 through ``Tape._record``: the wine MLP loss (``WineProblem.eval_pop``),
@@ -58,10 +59,17 @@ def _sigmoid(x):
 
 
 def _reduce_to(g: Array, shape) -> Array:
-    # collapse a broadcast gradient back onto a (1, 1) scalar parent
+    # sum a broadcast gradient over the axes its operand was stretched along
     if g.shape == shape:
         return g
-    return np.array([[g.sum()]])
+    axes = tuple(i for i, (n, m) in enumerate(zip(shape, g.shape))
+                 if n == 1 and m != 1)
+    return g.sum(axis=axes, keepdims=True)
+
+
+def _stretches_onto(s, t) -> bool:
+    # shape s broadcasts onto shape t without changing t
+    return all(n == m or n == 1 for n, m in zip(s, t))
 
 
 class Var:
@@ -108,31 +116,11 @@ class Var:
     def __add__(self, other):
         return self.tape.add(self, self._coerce(other))
 
-    def __radd__(self, other):
-        return self.tape.add(self._coerce(other), self)
-
     def __sub__(self, other):
         return self.tape.sub(self, self._coerce(other))
 
     def __rsub__(self, other):
         return self.tape.sub(self._coerce(other), self)
-
-    def __mul__(self, other):
-        return self.tape.mul(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return self.tape.mul(self._coerce(other), self)
-
-    def __neg__(self):
-        return self.tape.neg(self)
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, Var):
-            return self.tape.pow(self, exponent)
-        return self.tape.powc(self, float(exponent))
-
-    def __matmul__(self, other):
-        return self.tape.matmul(self, other)
 
 
 class Param:
@@ -178,13 +166,14 @@ class Tape:
         return p
 
     # ------------------------------------------------------------------
-    # elementwise binary ops (exact shapes, or one side a (1,1) scalar)
+    # elementwise binary ops (one operand may broadcast onto the other)
     # ------------------------------------------------------------------
 
     def _check_binary(self, a: Var, b: Var, op: str):
-        if a.shape != b.shape and not _is_scalar(a.value) and not _is_scalar(b.value):
+        sa, sb = a.shape, b.shape
+        if sa != sb and not _stretches_onto(sb, sa) and not _stretches_onto(sa, sb):
             raise ValueError(
-                f"{op}: shapes {a.shape} and {b.shape} do not match and neither is scalar"
+                f"{op}: neither of the shapes {sa} and {sb} broadcasts onto the other"
             )
 
     def add(self, a: Var, b: Var) -> Var:
@@ -261,9 +250,6 @@ class Tape:
     # elementwise unary ops
     # ------------------------------------------------------------------
 
-    def neg(self, a: Var) -> Var:
-        return self._record("neg", -a.value, (a,), lambda g: (-g,))
-
     def exp(self, a: Var) -> Var:
         out = np.exp(a.value)
         return self._record("exp", out, (a,), lambda g: (g * out,))
@@ -336,47 +322,6 @@ class Tape:
             return (g @ bv.T if na else None), (av.T @ g if nb else None)
 
         return self._record("matmul", av @ bv, (a, b), vjp)
-
-    # ------------------------------------------------------------------
-    # row and column broadcasts
-    # ------------------------------------------------------------------
-
-    def add_rowvec(self, a: Var, b: Var) -> Var:
-        """(n, m) + (1, m) broadcast over rows."""
-        if b.rows != 1 or b.cols != a.cols:
-            raise ValueError(f"add_rowvec: {a.shape} + {b.shape}")
-        na, nb = a.needs_grad, b.needs_grad
-
-        def vjp(g):
-            return (g if na else None), (g.sum(axis=0, keepdims=True) if nb else None)
-
-        return self._record("add_rowvec", a.value + b.value, (a, b), vjp)
-
-    def mul_rowvec(self, a: Var, b: Var) -> Var:
-        """(n, m) * (1, m) broadcast over rows."""
-        if b.rows != 1 or b.cols != a.cols:
-            raise ValueError(f"mul_rowvec: {a.shape} * {b.shape}")
-        av, bv = a.value, b.value
-        na, nb = a.needs_grad, b.needs_grad
-
-        def vjp(g):
-            return ((g * bv if na else None),
-                    ((g * av).sum(axis=0, keepdims=True) if nb else None))
-
-        return self._record("mul_rowvec", av * bv, (a, b), vjp)
-
-    def mul_colvec(self, a: Var, b: Var) -> Var:
-        """(n, m) * (n, 1) broadcast over columns."""
-        if b.cols != 1 or b.rows != a.rows:
-            raise ValueError(f"mul_colvec: {a.shape} * {b.shape}")
-        av, bv = a.value, b.value
-        na, nb = a.needs_grad, b.needs_grad
-
-        def vjp(g):
-            return ((g * bv if na else None),
-                    ((g * av).sum(axis=1, keepdims=True) if nb else None))
-
-        return self._record("mul_colvec", av * bv, (a, b), vjp)
 
     # ------------------------------------------------------------------
     # gradient flow control

@@ -103,6 +103,15 @@ def test_config_validation():
         ExperimentConfig(patience=0)
     with pytest.raises(ValueError, match="min_lr"):
         ExperimentConfig(min_lr=-1e-3)
+    for factor in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="lr_factor"):
+            ExperimentConfig(lr_factor=factor)
+    with pytest.raises(ValueError, match="dimension"):
+        ExperimentConfig(dim=0)
+    with pytest.raises(ValueError, match="rosenbrock"):
+        ExperimentConfig(problem="rosenbrock", dim=1)
+    with pytest.raises(ValueError, match="lower bound"):
+        ExperimentConfig(lo=5.0, hi=1.0)
 
 
 def test_resolved_label_forms():
@@ -417,6 +426,24 @@ def test_wine_rejects_the_size_and_box_it_ignores(tmp_path, capsys):
         with pytest.raises(SystemExit):
             cli.main(["wine", flag, "1"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--algo", "pso", "--config", "CFG", "--dim", "3", "--budget", "8"],
+    ["run", "--algo", "pso-diff", "--config", "CFG", "--dim", "3", "--budget", "8"],
+    ["run", "--algo", "pso", "--lo", "5", "--hi", "1", "--dim", "3", "--budget", "8"],
+    ["suite", "--problems", "rosenbrock,sphere", "--dims", "1", "--algos", "pso",
+     "--evals-per-dim", "8"],
+])
+def test_cli_rejects_bad_settings_before_any_directory(tmp_path, capsys, argv):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("lr_factor = 1.5\n")
+    out = tmp_path / "out"
+    argv = [str(cfgfile) if a == "CFG" else a for a in argv]
+    rc = cli.main(argv + ["--pop", "4", "--runs", "1", "--out-dir", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_unknown_algorithm():

@@ -6,7 +6,7 @@ import pytest
 from gradevo import cli
 from gradevo.classic import pack_lower, unpack_lower
 from gradevo.gradcheck import op_checks
-from gradevo.tape import Tape
+from gradevo.tape import Tape, Var
 
 
 def grad_of(tape, param):
@@ -111,32 +111,54 @@ def test_matmul_gradients():
 
 
 def test_scalar_broadcast_only_for_1x1():
+    # a (1, 1) operand is the one shape that stretches onto any other; two
+    # full shapes that differ still raise
     t = Tape()
     a = t.constant([[1.0, 2.0], [3.0, 4.0]])
     s = t.constant([[10.0]])
-    y = t.add(a, s)
-    np.testing.assert_array_equal(y.value, [[11.0, 12.0], [13.0, 14.0]])
+    np.testing.assert_array_equal(t.add(a, s).value, [[11.0, 12.0], [13.0, 14.0]])
+    np.testing.assert_array_equal(t.sub(s, a).value, [[9.0, 8.0], [7.0, 6.0]])
+    np.testing.assert_array_equal(t.mul(a, s).value, [[10.0, 20.0], [30.0, 40.0]])
+    np.testing.assert_array_equal(t.pow(a, t.constant([[2.0]])).value,
+                                  [[1.0, 4.0], [9.0, 16.0]])
     with pytest.raises(ValueError):
-        t.add(a, t.constant([[1.0, 2.0]]))  # row vectors need add_rowvec
+        t.add(a, t.constant(np.ones((3, 2))))
 
 
 def test_rowvec_and_colvec_helpers():
+    # rows and columns go through the plain binary ops
     t = Tape()
     a = t.constant([[1.0, 2.0], [3.0, 4.0]])
     row = t.constant([[10.0, 20.0]])
     col = t.constant([[2.0], [3.0]])
-    np.testing.assert_array_equal(t.add_rowvec(a, row).value, [[11.0, 22.0], [13.0, 24.0]])
-    np.testing.assert_array_equal(t.mul_rowvec(a, row).value, [[10.0, 40.0], [30.0, 80.0]])
-    np.testing.assert_array_equal(t.mul_colvec(a, col).value, [[2.0, 4.0], [9.0, 12.0]])
+    np.testing.assert_array_equal(t.add(a, row).value, [[11.0, 22.0], [13.0, 24.0]])
+    np.testing.assert_array_equal(t.sub(row, a).value, [[9.0, 18.0], [7.0, 16.0]])
+    np.testing.assert_array_equal(t.mul(a, row).value, [[10.0, 40.0], [30.0, 80.0]])
+    np.testing.assert_array_equal(t.mul(col, a).value, [[2.0, 4.0], [9.0, 12.0]])
+    np.testing.assert_array_equal(t.pow(a, col).value, [[1.0, 4.0], [27.0, 64.0]])
 
 
-def test_rowvec_broadcast_gradient_sums_over_rows():
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "pow"])
+def test_outer_and_mismatched_broadcasts_raise(op):
     t = Tape()
-    p = t.param("b", [[1.0, -1.0]])
-    a = t.constant(np.arange(6, dtype=float).reshape(3, 2))
-    y = t.sum(t.add_rowvec(a, p.raw))
-    t.backward(y)
-    np.testing.assert_array_equal(grad_of(t, p), [[3.0, 3.0]])
+    col = t.constant([[1.0], [2.0]])
+    row = t.constant([[1.0, 2.0, 3.0]])
+    with pytest.raises(ValueError):
+        getattr(t, op)(col, row)        # (2, 1) with (1, 3) is an outer broadcast
+    with pytest.raises(ValueError):
+        getattr(t, op)(t.constant(np.ones((2, 3))), t.constant([[1.0, 2.0]]))
+
+
+def test_broadcast_gradient_sums_over_the_stretched_axes():
+    a = np.arange(6, dtype=float).reshape(3, 2)
+    for shape, axis in (((1, 2), 0), ((3, 1), 1), ((1, 1), (0, 1))):
+        t = Tape()
+        p = t.param("b", np.full(shape, 2.0))
+        y = t.sum(t.add(t.mul(t.constant(a), p.raw), t.sub(p.raw, t.constant(a))))
+        t.backward(y)
+        # d/db sum(a b + b - a) = sum of (a + 1) over the stretched axes
+        np.testing.assert_array_equal(
+            grad_of(t, p), (a + 1.0).sum(axis=axis, keepdims=True))
 
 
 def test_backward_rejects_nonscalar_loss():
@@ -180,10 +202,7 @@ def test_operator_sugar_matches_ops():
     b = t.constant([[3.0]])
     assert (a + b).item() == 5.0
     assert (a - b).item() == -1.0
-    assert (a * b).item() == 6.0
-    assert (-a).item() == -2.0
-    assert (a ** 2).item() == 4.0
-    assert (1.0 + a).item() == 3.0
+    assert (1.0 - a).item() == -1.0
 
 
 def test_powc_handles_negative_base_with_integer_exponent():
@@ -275,10 +294,12 @@ def test_lapack_pack_and_unpack_are_the_row_by_row_scatter(n):
 
 
 def test_every_tape_op_is_reached(tmp_path, monkeypatch, capsys):
-    # every public Tape method serves some study; the one exception is
-    # ``sum``, the loss reduction of the gradient checks
+    # every public Tape method and every Var operator serves some study;
+    # the one exception is ``sum``, the loss reduction of the gradient checks
     public = [n for n, v in vars(Tape).items()
               if callable(v) and not n.startswith("_")]
+    sugar = [n for n, v in vars(Var).items() if callable(v)
+             and n.startswith("__") and n not in ("__init__", "__repr__")]
     called = set()
 
     def counted(name, fn):
@@ -289,6 +310,8 @@ def test_every_tape_op_is_reached(tmp_path, monkeypatch, capsys):
 
     for name in public:
         monkeypatch.setattr(Tape, name, counted(name, getattr(Tape, name)))
+    for name in sugar:
+        monkeypatch.setattr(Var, name, counted(name, getattr(Var, name)))
     common = ["--runs", "1", "--out-dir", str(tmp_path)]
     small = ["--problem", "sphere", "--dim", "3", "--pop", "6", "--budget", "12"]
     studies = [
@@ -303,7 +326,7 @@ def test_every_tape_op_is_reached(tmp_path, monkeypatch, capsys):
     for argv in studies:
         assert cli.main(argv + common) == 0, argv
     capsys.readouterr()
-    unreached = sorted(set(public) - called - {"sum"})
+    unreached = sorted(set(public + sugar) - called - {"sum"})
     assert not unreached, unreached
 
 
