@@ -22,7 +22,6 @@ from scipy.linalg.lapack import dtpqrt, dtpttr, dtrttp
 from . import kernels
 from .problems import Problem
 from .relax import Rng
-from .tape import _sigmoid
 
 
 @dataclass(frozen=True)
@@ -30,8 +29,7 @@ class CmaConstants:
     """Strategy constants shared by the classical and learnable CMA-ES.
 
     Derived from the standard log-rank recombination weights over the top
-    half of the population; these stay fixed even when recombination itself
-    uses learned weights, keeping the path time-scales well behaved.
+    half of the population, the weights both variants recombine with.
     """
 
     mu: int
@@ -74,6 +72,21 @@ def pack_lower(L: np.ndarray) -> np.ndarray:
     return dtrttp(L.T, uplo="U")[0].reshape(1, -1)
 
 
+# The smallest population of each family's classical and -diff variants,
+# read by their constructors and by harness.ExperimentConfig: tournaments
+# and Gumbel-Softmax picks need two members, DE's donor three others.
+MIN_POP = {"ga": 2, "de": 4, "cmaes": 2}
+
+
+def check_pop(algo: str, pop: int) -> None:
+    """Raise ValueError when ``pop`` is below the smallest population of
+    ``algo``, a classical name or its ``-diff`` variant (1 for the rest)."""
+    need = MIN_POP.get(algo.removesuffix("-diff"), 1)
+    if pop < need:
+        raise ValueError(
+            f"{algo} needs a population of at least {need}, got {pop}")
+
+
 def tournament_select(fit: np.ndarray, rng: Rng, k: int) -> int:
     """Index of the tournament winner: k entrants drawn without replacement,
     lowest fitness wins, earlier entrant wins ties."""
@@ -90,6 +103,8 @@ def _finite_factor(L: np.ndarray) -> np.ndarray:
     return L
 
 
+# no commit calls it: kept only because perfbench/spans.py looks it up by
+# name here and in diffevo
 def cholesky_with_jitter(C: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with escalating diagonal jitter.
 
@@ -171,17 +186,15 @@ class CmaState:
     its lower triangle packed row by row into a (1, d(d+1)/2) row.
 
     The new covariance is a L Lᵀ + U Uᵀ, with L the given factor, a > 0,
-    and U holding the lambda + 1 rank-one and rank-mu columns. When
-    lambda + 1 < d its factor comes from a QR of [sqrt(a) Lᵀ; Uᵀ] (Igel,
-    Suttorp & Hansen, GECCO 2006), O(lambda d²) without forming C; otherwise
-    C is rebuilt as L Lᵀ, combined and refactored by
-    ``cholesky_with_jitter``, which is cheaper when U has as many columns as
-    C. Either path raises RuntimeError when the factor is not finite.
+    and U holding the lambda + 1 rank-one and rank-mu columns. Its factor
+    comes from a QR of [sqrt(a) Lᵀ; Uᵀ] (Igel, Suttorp & Hansen, GECCO
+    2006), without forming C, at every lambda; the update raises
+    RuntimeError when the factor is not finite. Both variants recombine
+    with ``rank_weights`` and gate with the binary h_sigma, so at learning
+    rate zero the differentiable variant is the classical one.
     """
 
     def __init__(self, domain, lam: int):
-        if lam < 2:
-            raise ValueError("CMA-ES needs at least 2 offspring")
         self.k = cma_constants(domain.dim, lam)
         self.box = BoxPenalty(domain)
         self.mean_diag_c = 1.0          # mean(diag C) of the committed factor
@@ -207,13 +220,12 @@ class CmaState:
 
     def commit(self, X: np.ndarray, z: np.ndarray, w: np.ndarray,
                mu_prev: np.ndarray, sigma_prev: float, sigma: float,
-               packed: np.ndarray, soft_gate: bool = False):
+               packed: np.ndarray):
         """Update from the unclipped draws X = mu_prev + sigma_prev (L z)ᵀ
         (lambda, d), their normal draws z (d, lambda) and recombination
         weights w over all lambda rows, applied to a step size sigma and a
         packed factor that may have moved since the draws. Returns the
-        candidate mean w X, the new sigma and the new packed factor.
-        ``soft_gate`` replaces the binary h_sigma by a logistic one."""
+        candidate mean w X, the new sigma and the new packed factor."""
         k = self.k
         d = X.shape[1]
         mu_cand = w @ X
@@ -235,47 +247,29 @@ class CmaState:
         norm = float(np.linalg.norm(self.p_sigma))
         denom = math.sqrt(1.0 - (1.0 - cs) ** (2 * self.gen_count))
         thresh = (1.4 + 2.0 / (d + 1.0)) * k.chi_n
-        if soft_gate:
-            # 1 when the path is clearly short, 0 when long
-            h_sig = float(_sigmoid(
-                np.array(10.0 * (thresh - norm / denom) / k.chi_n)))
-        else:
-            h_sig = 1.0 if norm / denom < thresh else 0.0
+        h_sig = 1.0 if norm / denom < thresh else 0.0
 
         cc = k.c_c
         self.p_c = (1.0 - cc) * self.p_c + h_sig * math.sqrt(
             cc * (2.0 - cc) * mu_eff_t
         ) * ((mu_cand - mu_prev) / sigma_prev)
 
+        # the R of a QR of [sqrt(a) Lᵀ; Uᵀ] has RᵀR = a L Lᵀ + U Uᵀ = C_new;
+        # sqrt(a) scales the factor while it is still packed; the
+        # Fortran-order upper triangle dtpttr unpacks is sqrt(a) Lᵀ
         Y = (X - mu_prev) / sigma_prev
         delta_h = (1.0 - h_sig) * cc * (2.0 - cc)
-        if X.shape[0] + 1 < d:
-            # the R of a QR of [sqrt(a) Lᵀ; Uᵀ] has RᵀR = a L Lᵀ + U Uᵀ = C_new;
-            # sqrt(a) scales the factor while it is still packed; the
-            # Fortran-order upper triangle dtpttr unpacks is sqrt(a) Lᵀ
-            a = 1.0 - k.c_1 - k.c_mu + k.c_1 * delta_h
-            Ut = np.vstack([math.sqrt(k.c_1) * self.p_c,
-                            np.sqrt(k.c_mu * w)[:, None] * Y])
-            sLt = dtpttr(d, (math.sqrt(a) * packed).ravel(), uplo="U")[0]
-            R, _, _, info = dtpqrt(0, min(32, d), sLt, Ut,
-                                   overwrite_a=1, overwrite_b=1)
-            if info != 0:
-                raise RuntimeError(f"covariance factor update failed: info {info}")
-            # cholesky_with_jitter checks its factor; dtpqrt takes a NaN
-            L_new = _finite_factor(R.T * np.where(np.diag(R) < 0.0, -1.0, 1.0))
-            self.mean_diag_c = float(np.vdot(L_new, L_new)) / d
-        else:
-            L = unpack_lower(packed, d)
-            C = L @ L.T
-            rank_mu = Y.T @ (w[:, None] * Y)
-            C_new = (
-                (1.0 - k.c_1 - k.c_mu) * C
-                + k.c_1 * (np.outer(self.p_c, self.p_c) + delta_h * C)
-                + k.c_mu * rank_mu
-            )
-            C_new = 0.5 * (C_new + C_new.T)
-            L_new = cholesky_with_jitter(C_new)
-            self.mean_diag_c = float(np.trace(C_new)) / d
+        a = 1.0 - k.c_1 - k.c_mu + k.c_1 * delta_h
+        Ut = np.vstack([math.sqrt(k.c_1) * self.p_c,
+                        np.sqrt(k.c_mu * w)[:, None] * Y])
+        sLt = dtpttr(d, (math.sqrt(a) * packed).ravel(), uplo="U")[0]
+        R, _, _, info = dtpqrt(0, min(32, d), sLt, Ut,
+                               overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            raise RuntimeError(f"covariance factor update failed: info {info}")
+        # dtpqrt takes a NaN without failing
+        L_new = _finite_factor(R.T * np.where(np.diag(R) < 0.0, -1.0, 1.0))
+        self.mean_diag_c = float(np.vdot(L_new, L_new)) / d
 
         csa_log = min(1.0, max(-1.0, (cs / k.d_sigma) * (norm / k.chi_n - 1.0)))
         sigma_new = max(sigma * math.exp(csa_log), 1e-300)
@@ -367,6 +361,7 @@ class ClassicGa:
                  crossover_rate: float = 0.9, mutation_rate: float = None,
                  eta_c: float = 15.0, eta_m: float = 20.0,
                  k_tournament: int = 2, init=None):
+        check_pop(self.name, pop_size)
         self.problem = problem
         self.pop_size = int(pop_size)
         self.rng = rng
@@ -462,8 +457,7 @@ class ClassicDe:
                  variant: str = "rand1", init=None):
         if variant not in ("rand1", "best1"):
             raise ValueError(f"unknown DE variant {variant!r}")
-        if pop_size < 4:
-            raise ValueError("DE needs a population of at least 4")
+        check_pop(self.name, pop_size)
         self.problem = problem
         self.pop_size = int(pop_size)
         self.rng = rng
@@ -550,6 +544,7 @@ class ClassicCmaes:
         self.problem = problem
         d = problem.dim
         self.pop_size = int(pop_size) if pop_size else 4 + int(3 * math.log(d))
+        check_pop(self.name, self.pop_size)
         self.rng = rng
         dom = problem.domain
         self.mean = (

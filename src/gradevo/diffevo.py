@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classic import CmaState, pack_lower, unpack_lower
-# importable from here by name: perfbench/spans.py wraps
-# diffevo.cholesky_with_jitter
+from .classic import CmaState, check_pop, pack_lower, unpack_lower
+# no commit calls it: kept only because perfbench/spans.py wraps
+# diffevo.cholesky_with_jitter by name
 from .classic import cholesky_with_jitter  # noqa: F401
 from .problems import Problem
 from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
@@ -219,6 +219,7 @@ class DiffGa(DiffAlgorithm):
     def __init__(self, problem, pop_size, rng, cfg=None,
                  crossover_rate: float = 0.9, mutation_rate: float = None,
                  eta_c: float = 15.0, eta_m: float = 20.0, init=None):
+        check_pop(self.name, pop_size)
         super().__init__(problem, pop_size, rng, cfg)
         n, d = self.pop_size, problem.dim
         dom = problem.domain
@@ -363,8 +364,7 @@ class DiffDe(DiffAlgorithm):
                  variant: str = "rand1", init=None):
         if variant not in ("rand1", "best1"):
             raise ValueError(f"unknown DE variant {variant!r}")
-        if pop_size < 4:
-            raise ValueError("DE needs a population of at least 4")
+        check_pop(self.name, pop_size)
         super().__init__(problem, pop_size, rng, cfg)
         n, d = self.pop_size, problem.dim
         dom = problem.domain
@@ -497,12 +497,12 @@ class DiffCmaes(DiffAlgorithm):
     passes no gradient.
     After the optimizer has stepped those slots, ``CmaState.commit``
     applies the classical update to the stepped sigma and factor at
-    detached values of the unclamped draws, with softmax recombination
-    weights over standardized penalized fitness and a logistic h_sigma
-    gate. ``hard_selection`` gives the log-rank weights and the binary
-    gate instead, so at learning rate zero the run is classical CMA-ES.
-    The mean commits as candidate plus its own displacement. The best point
-    tracked is a clamped one with its unpenalised fitness.
+    detached values of the unclamped draws, with the log-rank weights over
+    the penalized fitness and the binary h_sigma gate. Neither is on the
+    tape, so the relaxation settings do not touch them, and at learning
+    rate zero the run is classical CMA-ES. The mean commits as candidate
+    plus its own displacement. The best point tracked is a clamped one
+    with its unpenalised fitness.
     """
 
     name = "cmaes-diff"
@@ -511,6 +511,7 @@ class DiffCmaes(DiffAlgorithm):
                  sigma0: float = None, mean0=None):
         dim = problem.dim
         lam = int(pop_size) if pop_size else 4 + int(3 * math.log(dim))
+        check_pop(self.name, lam)
         super().__init__(problem, lam, rng, cfg)
         dom = problem.domain
         mean = (
@@ -570,24 +571,10 @@ class DiffCmaes(DiffAlgorithm):
         st = self._need_staged()
         cma = self.cma
         d = self.problem.dim
-        fit = st["sel_fit"]
-        hard = self.cfg.relax.hard_selection
-        spread = fit.std()
-        if hard:
-            w = cma.rank_weights(fit)
-        elif spread < 1e-300:
-            w = np.full(fit.shape[0], 1.0 / fit.shape[0])
-        else:
-            # learned recombination: softmax over negated standardized fitness
-            s = -(fit - fit.mean()) / spread / self.cfg.relax.tau
-            s = s - s.max()
-            e = np.exp(s)
-            w = e / e.sum()
-
         mu_cand, sigma_new, packed = cma.commit(
-            st["x_raw"], st["z"], w, st["mu_prev"], st["sigma_prev"],
-            float(np.exp(self.p_log_sigma.raw.value[0, 0])), self.p_L.raw.value,
-            soft_gate=not hard)
+            st["x_raw"], st["z"], cma.rank_weights(st["sel_fit"]),
+            st["mu_prev"], st["sigma_prev"],
+            float(np.exp(self.p_log_sigma.raw.value[0, 0])), self.p_L.raw.value)
         mu_new = mu_cand + self._delta(optimizer, "mu", mu_cand.reshape(1, d)).ravel()
         self.p_mu.raw.value = mu_new.reshape(1, d)
         cma.box.observe(mu_new)

@@ -19,6 +19,7 @@ separately in the op suite.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -103,84 +104,96 @@ def _away_from(rng, shape, lo, hi, avoid=(), margin=0.05):
 def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     """FD-verify every differentiable op; oracle-verify straight-through,
     whose defined gradient differs from plain FD."""
-    rng = Rng(seed)
     results: list[CheckResult] = []
 
-    def run(name, build, tape, kind="op"):
+    def check(name):
+        # a stream per check, keyed by the seed and a stable hash of its
+        # name, so adding, removing or reordering checks moves no other
+        # check's points or weights; a weight matrix is drawn on first use
+        # and frozen per shape, so the rebuilt loss is the same function of
+        # the params on every FD evaluation
+        rng = Rng((seed << 32) | zlib.crc32(name.encode()))
+        frozen: dict[tuple, np.ndarray] = {}
+
+        def weighted(tape, v):
+            if v.shape not in frozen:
+                frozen[v.shape] = rng.normal(*v.shape)
+            return tape.sum(tape.mul(v, tape.constant(frozen[v.shape])))
+
+        return rng, weighted
+
+    def run(name, build, tape):
         errs = fd_check(build, tape, h=h)
-        results.append(CheckResult(f"{kind}:{name}", max(errs.values())))
-
-    _weights: dict[tuple, np.ndarray] = {}
-
-    def weighted(tape, v):
-        # weight matrices are frozen per (check, shape) so the rebuilt loss
-        # is the same function of the params on every FD evaluation
-        key = (len(results), v.shape)
-        if key not in _weights:
-            _weights[key] = rng.normal(*v.shape)
-        w = tape.constant(_weights[key])
-        return tape.sum(tape.mul(v, w))
+        results.append(CheckResult(name, max(errs.values())))
 
     # --- binary elementwise, matched shapes and each broadcast
-    for name in ("add", "sub", "mul"):
+    for op in ("add", "sub", "mul"):
         for suffix, shape in (("", (2, 3)), (":scalar", (1, 1)),
                               (":row", (1, 3)), (":col", (2, 1))):
+            name = f"op:{op}{suffix}"
+            rng, weighted = check(name)
             t = Tape()
             a = t.param("a", _away_from(rng, (2, 3), -2, 2))
             b = t.param("b", _away_from(rng, shape, -2, 2))
-            run(name + suffix, lambda t=t, a=a, b=b, name=name:
-                weighted(t, getattr(t, name)(a.raw, b.raw)), t)
+            run(name, lambda t=t, a=a, b=b, op=op, weighted=weighted:
+                weighted(t, getattr(t, op)(a.raw, b.raw)), t)
 
+    rng, weighted = check("op:pow")
     t = Tape()
     a = t.param("a", _away_from(rng, (2, 3), 0.2, 2.0))
     b = t.param("b", _away_from(rng, (2, 3), -1.5, 1.5))
-    run("pow", lambda: weighted(t, t.pow(a.raw, b.raw)), t)
+    run("op:pow", lambda: weighted(t, t.pow(a.raw, b.raw)), t)
 
-    t = Tape()
-    a = t.param("a", _away_from(rng, (2, 3), 0.3, 2.0))
-    run("powc", lambda: weighted(t, t.powc(a.raw, 1.7)), t)
-    t = Tape()
-    a = t.param("a", _away_from(rng, (2, 3), -2, 2))
-    run("powc:int", lambda: weighted(t, t.powc(a.raw, 3.0)), t)
-
-    # --- unary elementwise
-    for name, lo, hi in (
-        ("exp", -2, 2),
-        ("sigmoid", -3, 3),
-    ):
+    for name, lo, hi, c in (("op:powc", 0.3, 2.0, 1.7),
+                            ("op:powc:int", -2, 2, 3.0)):
+        rng, weighted = check(name)
         t = Tape()
         a = t.param("a", _away_from(rng, (2, 3), lo, hi))
-        run(name, lambda t=t, a=a, name=name:
-            weighted(t, getattr(t, name)(a.raw)), t)
+        run(name, lambda t=t, a=a, c=c, weighted=weighted:
+            weighted(t, t.powc(a.raw, c)), t)
+
+    # --- unary elementwise
+    for op, lo, hi in (("exp", -2, 2), ("sigmoid", -3, 3)):
+        rng, weighted = check(f"op:{op}")
+        t = Tape()
+        a = t.param("a", _away_from(rng, (2, 3), lo, hi))
+        run(f"op:{op}", lambda t=t, a=a, op=op, weighted=weighted:
+            weighted(t, getattr(t, op)(a.raw)), t)
 
     # --- reductions
-    for name in ("sum", "mean"):
+    for op in ("sum", "mean"):
+        rng, _ = check(f"op:{op}")
         t = Tape()
         a = t.param("a", _away_from(rng, (3, 4), -2, 2))
-        run(name, lambda t=t, a=a, name=name: getattr(t, name)(a.raw), t)
+        run(f"op:{op}", lambda t=t, a=a, op=op: getattr(t, op)(a.raw), t)
 
+    rng, _ = check("op:min_with_index")
     t = Tape()
     vals = np.linspace(-2, 2, 12).reshape(3, 4)
     a = t.param("a", vals + 0.01 * rng.normal(3, 4))
-    run("min_with_index", lambda: t.min_with_index(a.raw)[0], t)
+    run("op:min_with_index", lambda: t.min_with_index(a.raw)[0], t)
 
+    rng, weighted = check("op:row_sum")
     t = Tape()
     a = t.param("a", _away_from(rng, (3, 4), -2, 2))
-    run("row_sum", lambda: weighted(t, t.row_sum(a.raw)), t)
+    run("op:row_sum", lambda: weighted(t, t.row_sum(a.raw)), t)
 
     # --- linear algebra
+    rng, weighted = check("op:matmul")
     t = Tape()
     a = t.param("a", _away_from(rng, (2, 3), -2, 2))
     b = t.param("b", _away_from(rng, (3, 2), -2, 2))
-    run("matmul", lambda: weighted(t, t.matmul(a.raw, b.raw)), t)
+    run("op:matmul", lambda: weighted(t, t.matmul(a.raw, b.raw)), t)
 
     # --- clamp: entries pushed clear of the bounds on both sides
+    rng, weighted = check("op:clamp")
     t = Tape()
     av = _away_from(rng, (3, 4), -2, 2, avoid=(-1.0, 1.0), margin=0.2)
     a = t.param("a", av)
-    run("clamp", lambda: weighted(t, t.clamp(a.raw, -1.0, 1.0)), t)
+    run("op:clamp", lambda: weighted(t, t.clamp(a.raw, -1.0, 1.0)), t)
 
     # --- straight-through: analytic grad of the ST graph vs FD of the soft
+    rng, _ = check("op:straight_through")
     t = Tape()
     a = t.param("a", _away_from(rng, (2, 3), -2, 2))
     wst = rng.normal(2, 3)
@@ -206,33 +219,35 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     results.append(CheckResult("op:straight_through",
                                max(_err(st_grad, soft_grad), errs["a"])))
 
-    # --- the wine MLP loss node, k = 3 networks on 6 rows (drawn last)
+    # --- the wine MLP loss node, k = 3 networks on 6 rows
+    rng, weighted = check("wine:mlp_mse")
     spec = MlpSpec(n_in=3, n_hidden=4)
     prob = WineProblem(rng.normal(6, 3), rng.normal(6, 1), spec)
     t = Tape()
     a = t.param("a", _away_from(rng, (3, spec.n_params), -1, 1))
-    run("mlp_mse", lambda: weighted(t, prob.eval_pop(t, a.raw)), t,
-        kind="wine")
+    run("wine:mlp_mse", lambda: weighted(t, prob.eval_pop(t, a.raw)), t)
 
-    # --- each benchmark's node, 3 points in 4-D (drawn after the wine
-    # check, so the points above stay put); no coordinate near 0 keeps
-    # Ackley off its cone tip at the origin
-    for name in benchmark_names():
-        prob = make_problem(name, 4)
+    # --- each benchmark's node, 3 points in 4-D; no coordinate near 0
+    # keeps Ackley off its cone tip at the origin
+    for bench in benchmark_names():
+        name = f"problem:{bench}"
+        rng, weighted = check(name)
+        prob = make_problem(bench, 4)
         t = Tape()
         a = t.param("x", _away_from(rng, (3, 4), -3, 3, avoid=(0.0,),
                                     margin=0.1))
-        run(name, lambda t=t, a=a, prob=prob:
-            weighted(t, prob.eval_pop(t, a.raw)), t, kind="problem")
+        run(name, lambda t=t, a=a, prob=prob, weighted=weighted:
+            weighted(t, prob.eval_pop(t, a.raw)), t)
 
-    # --- the CMA-ES sample node, d = 3 and lambda = 4 (drawn last)
+    # --- the CMA-ES sample node, d = 3 and lambda = 4
+    rng, weighted = check("cma:sample")
     t = Tape()
     mu = t.param("mu", _away_from(rng, (1, 3), -2, 2))
     s = t.param("log_sigma", _away_from(rng, (1, 1), -1, 1))
     L = t.param("L", _away_from(rng, (1, 6), -2, 2))
     z = rng.normal(3, 4)
-    run("sample", lambda: weighted(t, cma_sample(t, mu.raw, s.raw, L.raw, z)),
-        t, kind="cma")
+    run("cma:sample",
+        lambda: weighted(t, cma_sample(t, mu.raw, s.raw, L.raw, z)), t)
 
     return results
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import par
-from .classic import ClassicCmaes, ClassicDe, ClassicGa, ClassicPso
+from .classic import ClassicCmaes, ClassicDe, ClassicGa, ClassicPso, check_pop
 from .diffevo import ALGORITHMS as DIFF_ALGORITHMS
 from .diffevo import DiffConfig
 from .outer import Adam, PlateauScheduler, RunError, run_loop
@@ -77,15 +77,15 @@ class ExperimentConfig:
     loss: str = _flag(
         "best", "generation loss: best candidate or population mean",
         ("best", "mean"))
-    tau: float = _flag(1.0, "relaxation temperature")
+    tau: float = _flag(1.0, "relaxation temperature (ga-diff and de-diff)")
     sigma0: float = _flag(0.0, "initial CMA-ES step size (0 = default)")
     variant: str = _flag("rand1", "DE mutation variant", ("rand1", "best1"))
     elitism: bool = True
     hard_masks: bool = _flag(
         True, "straight-through masks instead of soft blends")
     hard_selection: bool = _flag(
-        False, "straight-through parent selection instead of soft mixtures, "
-               "and cmaes-diff's classical recombination and h_sigma gate")
+        False, "straight-through parent selection instead of soft mixtures "
+               "(ga-diff and de-diff)")
     patience: int = _flag(100, "plateau generations before the lr halves")
     lr_factor: float = 0.5
     min_lr: float = 1e-5
@@ -109,8 +109,6 @@ class ExperimentConfig:
             )
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.pop < 1:
-            raise ValueError(f"pop must be >= 1, got {self.pop}")
         if self.budget < self.pop:
             raise ValueError(
                 f"budget must be >= pop ({self.pop}), got {self.budget}"
@@ -148,6 +146,8 @@ class ExperimentConfig:
         else:
             # the benchmark holds its own rules on dim, lo and hi
             make_problem(self.problem, self.dim, self.lo, self.hi)
+        # the algorithms hold their own smallest population
+        check_pop(self.algo, self.pop)
 
     def resolved_label(self) -> str:
         if self.label:

@@ -88,8 +88,9 @@ def rosenbrock_grad(X):
 def michalewicz_batch(X):
     d = X.shape[1]
     idx = np.arange(1.0, d + 1.0)
-    inner = np.sin(idx * X * X / np.pi)
-    return -np.sum(np.sin(X) * inner**20, axis=1)
+    # sin(theta)**20 by squarings, as in michalewicz_grad
+    s4 = np.square(np.square(np.sin(idx * X * X / np.pi)))
+    return -np.sum(np.sin(X) * (np.square(np.square(s4)) * s4), axis=1)
 
 
 def michalewicz_grad(X):

@@ -75,10 +75,10 @@ class RelaxConfig:
 
     ``tau`` is the relaxation temperature (fixed, not learned).
     ``hard_masks`` switches Bernoulli gates to straight-through hard 0/1
-    forwards. ``hard_selection`` does the same for categorical parent picks,
-    and makes ``DiffCmaes`` recombine with the classical log-rank weights
-    and the binary h_sigma gate; the default keeps selection soft
-    (mixtures, softmax recombination, a logistic gate).
+    forwards. ``hard_selection`` does the same for categorical parent picks;
+    the default keeps them soft mixtures. The knobs act on the GA and DE
+    selections and gates; ``DiffCmaes`` recombines by log rank whatever
+    they say.
     """
 
     tau: float = 1.0

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gradevo import classic, cli
+from gradevo import cli
 from gradevo.classic import (
     ClassicCmaes,
     ClassicDe,
@@ -133,33 +133,34 @@ def _diff_step(algo, opt, noise=None):
 
 
 @pytest.mark.parametrize("problem, d, pop, sigma0", [
-    ("sphere", 10, 6, None),        # pop + 1 < d: the QR factor update
-    ("ackley", 5, 8, 150.0),        # the rebuild path
+    ("sphere", 10, 6, None),        # pop + 1 < d
+    ("ackley", 5, 8, 150.0),        # pop + 1 >= d
 ])
 def test_cmaes_hard_limit_matches_classical_with_shared_noise(
         problem, d, pop, sigma0):
-    # hard selection gives the log-rank weights and the binary h_sigma
-    # gate, so at lr 0 the differentiable commit is the classical one
-    rng = Rng(0)
-    mean0 = make_problem(problem, d).domain.sample(rng, 1)[0]
-    ref = ClassicCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(1),
-                       sigma0=sigma0, mean0=mean0)
-    cfg = DiffConfig(relax=RelaxConfig(hard_selection=True))
-    diff = DiffCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(2),
-                     cfg=cfg, sigma0=sigma0, mean0=mean0)
-    opt = Adam(diff.parameters(), lr=0.0)
-    for _ in range(3):
-        noise = {"z": rng.normal(d, pop)}
-        ref.generation(dict(noise))
-        _diff_step(diff, opt, dict(noise))
-        np.testing.assert_allclose(diff.p_mu.raw.value.ravel(), ref.mean,
-                                   rtol=0.0, atol=1e-10)
-        assert abs(diff.hyperparams()["sigma"] - ref.sigma) < 1e-10
-        np.testing.assert_allclose(diff.factor(), ref.factor(),
-                                   rtol=0.0, atol=1e-10)
-        assert abs(diff.best_fitness - ref.best_fitness) < 1e-10
-    # samples clipped: the penalty set a weight from a positive fitness spread
-    assert ref.cma.box.unit != 1.0
+    # the commit recombines by log rank with the binary h_sigma gate
+    # whatever the relaxation settings, so at lr 0 it is the classical one
+    soft = RelaxConfig(tau=0.3, hard_masks=False, hard_selection=False)
+    for cfg in (DiffConfig(), DiffConfig(relax=soft)):
+        rng = Rng(0)
+        mean0 = make_problem(problem, d).domain.sample(rng, 1)[0]
+        ref = ClassicCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(1),
+                           sigma0=sigma0, mean0=mean0)
+        diff = DiffCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(2),
+                         cfg=cfg, sigma0=sigma0, mean0=mean0)
+        opt = Adam(diff.parameters(), lr=0.0)
+        for _ in range(3):
+            noise = {"z": rng.normal(d, pop)}
+            ref.generation(dict(noise))
+            _diff_step(diff, opt, dict(noise))
+            np.testing.assert_allclose(diff.p_mu.raw.value.ravel(), ref.mean,
+                                       rtol=0.0, atol=1e-10)
+            assert abs(diff.hyperparams()["sigma"] - ref.sigma) < 1e-10
+            np.testing.assert_allclose(diff.factor(), ref.factor(),
+                                       rtol=0.0, atol=1e-10)
+            assert abs(diff.best_fitness - ref.best_fitness) < 1e-10
+        # samples clipped: the penalty set a weight from a positive spread
+        assert ref.cma.box.unit != 1.0
 
 
 def test_cma_sample_node_is_the_classical_draw():
@@ -196,14 +197,15 @@ def test_cma_sample_node_is_the_classical_draw():
 
 def test_both_cmaes_arms_need_two_offspring(tmp_path, capsys):
     for cls in (ClassicCmaes, DiffCmaes):
-        with pytest.raises(ValueError, match="at least 2 offspring"):
+        with pytest.raises(ValueError, match="population of at least 2"):
             cls(make_problem("sphere", 5), pop_size=1, rng=Rng(0))
     for algo in ("cmaes", "cmaes-diff"):
         rc = cli.main(["run", "--algo", algo, "--problem", "sphere",
                        "--dim", "5", "--pop", "1", "--budget", "20",
                        "--runs", "1", "--out-dir", str(tmp_path)])
         assert rc == 2
-        assert "CMA-ES needs at least 2 offspring" in capsys.readouterr().err
+        assert (f"{algo} needs a population of at least 2, got 1"
+                in capsys.readouterr().err)
 
 
 # --- gradients exist and flow to the learnable knobs -------------------------
@@ -421,7 +423,7 @@ def test_cmaes_penalty_gradient_points_into_box():
 
 # --- CMA-ES factor commit ------------------------------------------------------
 
-def _cmaes_generations(cls, d, pop, n_gens, on_commit=None):
+def _cmaes_generations(cls, d, pop, n_gens, on_commit):
     """Run n_gens generations of cls on sphere-d, DiffCmaes at lr 1.0;
     on_commit sees the algorithm, its staged values (None for ClassicCmaes)
     and the arguments of the generation's ``CmaState.commit``."""
@@ -430,9 +432,9 @@ def _cmaes_generations(cls, d, pop, n_gens, on_commit=None):
     calls = []
     commit = algo.cma.commit
 
-    def spy(*args, **kwargs):
-        calls.append((getattr(algo, "_staged", None), args, kwargs))
-        return commit(*args, **kwargs)
+    def spy(*args):
+        calls.append((getattr(algo, "_staged", None), args))
+        return commit(*args)
 
     algo.cma.commit = spy
     opt = Adam(algo.parameters(), lr=1.0) if cls is DiffCmaes else None
@@ -441,24 +443,19 @@ def _cmaes_generations(cls, d, pop, n_gens, on_commit=None):
             algo.generation()
         else:
             _diff_step(algo, opt)
-        if on_commit is not None:
-            staged, args, kwargs = calls[-1]
-            on_commit(algo, dict(staged or {}), *args, **kwargs)
+        staged, args = calls[-1]
+        on_commit(algo, dict(staged or {}), *args)
     return algo
 
 
-def _commit_target(cma, X, z, w, mu_prev, sigma_prev, sigma, packed,
-                   soft_gate=False):
+def _commit_target(cma, X, z, w, mu_prev, sigma_prev, sigma, packed):
     """a L_s L_sᵀ + U Uᵀ assembled densely from the committed paths, the
     factor L_s and the weights w the commit was given."""
     k, d = cma.k, X.shape[1]
     norm = np.linalg.norm(cma.p_sigma)
     denom = math.sqrt(1.0 - (1.0 - k.c_sigma) ** (2 * cma.gen_count))
     thresh = (1.4 + 2.0 / (d + 1.0)) * k.chi_n
-    if soft_gate:
-        h_sig = 1.0 / (1.0 + math.exp(-10.0 * (thresh - norm / denom) / k.chi_n))
-    else:
-        h_sig = 1.0 if norm / denom < thresh else 0.0
+    h_sig = 1.0 if norm / denom < thresh else 0.0
     a = 1.0 - k.c_1 - k.c_mu + k.c_1 * (1.0 - h_sig) * k.c_c * (2.0 - k.c_c)
     Y = (X - mu_prev) / sigma_prev
     U = np.column_stack([math.sqrt(k.c_1) * cma.p_c,
@@ -467,29 +464,26 @@ def _commit_target(cma, X, z, w, mu_prev, sigma_prev, sigma, packed,
     return a * L_s @ L_s.T + U @ U.T
 
 
-def test_cmaes_factor_update_matches_dense_covariance():
-    # pop + 1 < d: the factor is updated by QR without forming C
-    d = 40
+@pytest.mark.parametrize("d", [40, 5])
+def test_cmaes_factor_update_matches_dense_covariance(d):
+    # the factor is updated by QR without forming C, with pop + 1 below d
+    # and above it
     for cls in (DiffCmaes, ClassicCmaes):
         residuals = []
 
-        def check(algo, st, *args, **kwargs):
+        def check(algo, st, *args):
             w = args[2]
+            np.testing.assert_array_equal(
+                np.sort(w)[::-1], np.r_[algo.cma.k.weights, [0.0] * 3])
             if cls is DiffCmaes:
-                # softmax over negated standardized penalized fitness
-                fit = st["sel_fit"]
-                s = -(fit - fit.mean()) / fit.std() / algo.cfg.relax.tau
-                soft = np.exp(s - s.max())
-                np.testing.assert_allclose(w, soft / soft.sum(),
-                                           rtol=1e-14, atol=0.0)
-            else:
+                # the log-rank weights sit on the best penalized fitness
                 np.testing.assert_array_equal(
-                    np.sort(w)[::-1], np.r_[algo.cma.k.weights, [0.0] * 3])
+                    w, algo.cma.rank_weights(st["sel_fit"]))
             L = algo.factor()
             assert L.flags.c_contiguous
             assert np.all(np.triu(L, 1) == 0.0)
             assert np.all(np.diag(L) > 0.0)
-            target = _commit_target(algo.cma, *args, **kwargs)
+            target = _commit_target(algo.cma, *args)
             residuals.append(
                 np.linalg.norm(L @ L.T - target) / np.linalg.norm(target))
             np.testing.assert_allclose(algo.cma.mean_diag_c,
@@ -510,22 +504,6 @@ def test_cmaes_adam_steps_only_the_packed_lower_triangle():
     packed = (1, d * (d + 1) // 2)
     assert algo.p_L.raw.shape == opt._m["L"].shape == opt._v["L"].shape == packed
     assert np.all(opt._v["L"] > 0.0)
-
-
-@pytest.mark.parametrize("d, calls", [(40, 0), (5, 3)])
-def test_cmaes_refactors_covariance_only_when_pop_reaches_dim(
-        monkeypatch, d, calls):
-    factor = classic.cholesky_with_jitter
-    for cls in (DiffCmaes, ClassicCmaes):
-        seen = []
-
-        def counted(C):
-            seen.append(C.shape)
-            return factor(C)
-
-        monkeypatch.setattr(classic, "cholesky_with_jitter", counted)
-        _cmaes_generations(cls, d, 6, 3)
-        assert len(seen) == calls, cls
 
 
 @pytest.mark.parametrize("d", [40, 5])

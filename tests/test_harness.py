@@ -12,8 +12,10 @@ import pytest
 
 import gradevo
 from gradevo import cli
-from gradevo.classic import ClassicPso
+from gradevo.classic import MIN_POP, ClassicPso
 from gradevo.harness import (
+    CLASSIC_ALGORITHMS,
+    DIFF_ALGORITHMS,
     ExperimentConfig,
     load_experiment,
     load_run_csv,
@@ -27,6 +29,8 @@ from gradevo.plots import (
     quartiles,
     summary_stats,
 )
+from gradevo.problems import make_problem
+from gradevo.relax import Rng
 
 
 SRC = str(Path(gradevo.__file__).resolve().parents[1])
@@ -434,16 +438,39 @@ def test_wine_rejects_the_size_and_box_it_ignores(tmp_path, capsys):
     ["run", "--algo", "pso", "--lo", "5", "--hi", "1", "--dim", "3", "--budget", "8"],
     ["suite", "--problems", "rosenbrock,sphere", "--dims", "1", "--algos", "pso",
      "--evals-per-dim", "8"],
+    # a population below the algorithm's smallest
+    ["run", "--algo", "de", "--pop", "3", "--dim", "3", "--budget", "8"],
+    ["run", "--algo", "cmaes", "--pop", "1", "--dim", "3", "--budget", "8"],
+    ["run", "--algo", "ga", "--pop", "1", "--dim", "3", "--budget", "8"],
+    ["run", "--algo", "ga-diff", "--pop", "1", "--dim", "3", "--budget", "8"],
+    ["suite", "--problems", "sphere", "--dims", "3", "--algos", "pso,de,cmaes",
+     "--evals-per-dim", "8", "--pop", "3"],
 ])
 def test_cli_rejects_bad_settings_before_any_directory(tmp_path, capsys, argv):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text("lr_factor = 1.5\n")
     out = tmp_path / "out"
     argv = [str(cfgfile) if a == "CFG" else a for a in argv]
-    rc = cli.main(argv + ["--pop", "4", "--runs", "1", "--out-dir", str(out)])
+    # --pop 4 unless the case sets its own, which comes later and wins
+    rc = cli.main(argv[:1] + ["--pop", "4"] + argv[1:]
+                  + ["--runs", "1", "--out-dir", str(out)])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_population_minimum_holds_for_both_arms_and_the_config():
+    # one minimum per family, read by the constructors and the config
+    algos = {**CLASSIC_ALGORITHMS, **DIFF_ALGORITHMS}
+    for family, need in MIN_POP.items():
+        for algo in (family, family + "-diff"):
+            msg = f"^{algo} needs a population of at least {need}, got {need - 1}$"
+            with pytest.raises(ValueError, match=msg):
+                ExperimentConfig(algo=algo, pop=need - 1, budget=100)
+            with pytest.raises(ValueError, match=msg):
+                algos[algo](make_problem("sphere", 3), need - 1, Rng(0))
+            ExperimentConfig(algo=algo, pop=need, budget=100)
+            algos[algo](make_problem("sphere", 3), need, Rng(0))
 
 
 def test_cli_rejects_unknown_algorithm():

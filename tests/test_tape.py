@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradevo import cli
+from gradevo import cli, gradcheck
 from gradevo.classic import pack_lower, unpack_lower
 from gradevo.gradcheck import op_checks
 from gradevo.tape import Tape, Var
@@ -339,3 +339,14 @@ def test_gradcheck_covers_every_tape_op():
     checked = {r.name.split(":")[1] for r in op_checks()
                if r.name.startswith("op:")}
     assert checked == ops, (sorted(ops - checked), sorted(checked - ops))
+
+
+def test_gradcheck_points_do_not_depend_on_earlier_checks(monkeypatch):
+    # each check draws from its own stream, so dropping one benchmark
+    # check and reversing the rest leaves every other check's error as it was
+    full = {r.name: r.max_err for r in op_checks()}
+    names = gradcheck.benchmark_names()
+    monkeypatch.setattr(gradcheck, "benchmark_names", lambda: names[:0:-1])
+    part = {r.name: r.max_err for r in op_checks()}
+    assert set(full) - set(part) == {f"problem:{names[0]}"}
+    assert part == {name: full[name] for name in part}
