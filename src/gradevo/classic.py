@@ -1,11 +1,11 @@
 """Classical population algorithms: PSO, real-coded GA, DE and CMA-ES.
 
 These are the plain, non-differentiable references. They share a calling
-convention with the differentiable variants: construct with a problem, a
-population size and an Rng, then call ``generation()`` repeatedly; each call
-costs exactly ``pop_size`` evaluations. The initial population evaluation
-(PSO/GA/DE) happens lazily on the first generation and is not part of that
-per-generation count.
+convention with the differentiable variants (``Population``): construct
+with a problem, a population size and an Rng, then call ``generation()``
+repeatedly; each call costs exactly ``pop_size`` evaluations. PSO, GA and
+DE evaluate their first population when constructed; that evaluation is
+not part of the per-generation count.
 
 ``generation(noise=...)`` accepts a dict produced by ``draw_noise()`` so
 tests can freeze or share the stochastic draws.
@@ -194,6 +194,11 @@ class CmaState:
     rate zero the differentiable variant is the classical one.
     """
 
+    @staticmethod
+    def lam(dim: int, pop_size: int = None) -> int:
+        """lambda: ``pop_size`` if given, else the default 4 + floor(3 ln d)."""
+        return int(pop_size) if pop_size else 4 + int(3 * math.log(dim))
+
     def __init__(self, domain, lam: int):
         self.k = cma_constants(domain.dim, lam)
         self.box = BoxPenalty(domain)
@@ -201,6 +206,16 @@ class CmaState:
         self.p_sigma = np.zeros(domain.dim)
         self.p_c = np.zeros(domain.dim)
         self.gen_count = 0
+
+    def start(self, rng: Rng, sigma0: float = None, mean0=None):
+        """The first mean (d,), uniform in the box unless ``mean0`` is
+        given; the first sigma, 0.3 times the widest box side unless
+        ``sigma0`` is given; and the packed identity factor."""
+        dom = self.box.domain
+        mean = (np.array(mean0, dtype=float).ravel() if mean0 is not None
+                else dom.sample(rng, 1)[0])
+        sigma = float(sigma0) if sigma0 else 0.3 * float(dom.width.max())
+        return mean, sigma, pack_lower(np.eye(dom.dim))
 
     @staticmethod
     def sample(mean, sigma: float, packed: np.ndarray, z: np.ndarray):
@@ -276,7 +291,41 @@ class CmaState:
         return mu_cand, sigma_new, pack_lower(L_new)
 
 
-class ClassicPso:
+class Population:
+    """What every population algorithm holds: the problem, the population
+    size (at least ``check_pop``'s smallest for the class's ``name``), the
+    Rng and the best point seen so far with its fitness."""
+
+    def __init__(self, problem: Problem, pop_size: int, rng: Rng):
+        check_pop(self.name, pop_size)
+        self.problem = problem
+        self.pop_size = int(pop_size)
+        self.rng = rng
+        self.best_x = None
+        self.best_fitness = math.inf
+
+    def _first_population(self, init=None):
+        """The first population, ``init`` clipped into the box or else drawn
+        uniformly in it, and its fitness, which also gives the best point."""
+        dom = self.problem.domain
+        X = dom.clip(np.array(init, dtype=float)) if init is not None \
+            else dom.sample(self.rng, self.pop_size)
+        fit = self.problem.eval_array(X)
+        self._track_best(X, fit)
+        return X, fit
+
+    def _track_best(self, X: np.ndarray, fit: np.ndarray) -> bool:
+        """Take the best row of X when its fitness is below the best so
+        far; True when it was."""
+        b = int(np.argmin(fit))
+        if fit[b] < self.best_fitness:
+            self.best_fitness = float(fit[b])
+            self.best_x = X[b].copy()
+            return True
+        return False
+
+
+class ClassicPso(Population):
     """Global-best particle swarm with inertia weight.
 
     v' = omega v + c1 r1 (pbest - x) + c2 r2 (gbest - x), then x' = x + v'.
@@ -285,37 +334,18 @@ class ClassicPso:
     """
 
     name = "pso"
+    omega = 0.7298
+    c1 = 1.49618
+    c2 = 1.49618
+    velocity_clamp = 0.2
 
-    def __init__(self, problem: Problem, pop_size: int, rng: Rng,
-                 omega: float = 0.7298, c1: float = 1.49618, c2: float = 1.49618,
-                 velocity_clamp: float = 0.2, init=None):
-        self.problem = problem
-        self.pop_size = int(pop_size)
-        self.rng = rng
-        self.omega = float(omega)
-        self.c1 = float(c1)
-        self.c2 = float(c2)
-        dom = problem.domain
-        self.vmax = velocity_clamp * dom.width
-        self.X = dom.clip(np.array(init, dtype=float)) if init is not None \
-            else dom.sample(rng, self.pop_size)
+    def __init__(self, problem: Problem, pop_size: int, rng: Rng, init=None):
+        super().__init__(problem, pop_size, rng)
+        self.vmax = self.velocity_clamp * problem.domain.width
+        self.X, fit = self._first_population(init)
         self.V = np.zeros_like(self.X)
-        self._initialised = False
-        self.pbest = None
-        self.pfit = None
-        self.best_x = None
-        self.best_fitness = math.inf
-
-    def _ensure_init(self):
-        if self._initialised:
-            return
-        fit = self.problem.eval_array(self.X)
         self.pbest = self.X.copy()
-        self.pfit = fit.copy()
-        b = int(np.argmin(fit))
-        self.best_x = self.X[b].copy()
-        self.best_fitness = float(fit[b])
-        self._initialised = True
+        self.pfit = fit
 
     def draw_noise(self) -> dict:
         n, d = self.X.shape
@@ -325,7 +355,6 @@ class ClassicPso:
         return {"omega": self.omega, "c1": self.c1, "c2": self.c2}
 
     def generation(self, noise: dict = None) -> float:
-        self._ensure_init()
         if noise is None:
             noise = self.draw_noise()
         dom = self.problem.domain
@@ -338,16 +367,13 @@ class ClassicPso:
         better = fit < self.pfit
         self.pbest[better] = self.X[better]
         self.pfit[better] = fit[better]
-        b = int(np.argmin(self.pfit))
-        if self.pfit[b] < self.best_fitness:
-            self.best_fitness = float(self.pfit[b])
-            self.best_x = self.pbest[b].copy()
+        self._track_best(self.pbest, self.pfit)
         return self.best_fitness
 
 
-class ClassicGa:
+class ClassicGa(Population):
     """Generational real-coded GA: tournament selection, SBX, polynomial
-    mutation, single elite.
+    mutation at rate 1/d, single elite.
 
     Each generation builds pop_size offspring (one SBX child per offspring
     slot; the crossover gate fires per offspring) and the incumbent best
@@ -356,41 +382,17 @@ class ClassicGa:
     """
 
     name = "ga"
+    crossover_rate = 0.9
+    eta_c = 15.0
+    eta_m = 20.0
+    k_tournament = 2
 
-    def __init__(self, problem: Problem, pop_size: int, rng: Rng,
-                 crossover_rate: float = 0.9, mutation_rate: float = None,
-                 eta_c: float = 15.0, eta_m: float = 20.0,
-                 k_tournament: int = 2, init=None):
-        check_pop(self.name, pop_size)
-        self.problem = problem
-        self.pop_size = int(pop_size)
-        self.rng = rng
-        self.crossover_rate = float(crossover_rate)
-        self.mutation_rate = (
-            1.0 / problem.dim if mutation_rate is None else float(mutation_rate)
-        )
-        self.eta_c = float(eta_c)
-        self.eta_m = float(eta_m)
-        self.k_tournament = int(k_tournament)
-        dom = problem.domain
-        self.X = dom.clip(np.array(init, dtype=float)) if init is not None \
-            else dom.sample(rng, self.pop_size)
-        self.fit = None
-        self.best_x = None
-        self.best_fitness = math.inf
-        self._initialised = False
-
-    def _ensure_init(self):
-        if self._initialised:
-            return
-        self.fit = self.problem.eval_array(self.X)
-        b = int(np.argmin(self.fit))
-        self.best_x = self.X[b].copy()
-        self.best_fitness = float(self.fit[b])
-        self._initialised = True
+    def __init__(self, problem: Problem, pop_size: int, rng: Rng, init=None):
+        super().__init__(problem, pop_size, rng)
+        self.mutation_rate = 1.0 / problem.dim
+        self.X, self.fit = self._first_population(init)
 
     def draw_noise(self) -> dict:
-        self._ensure_init()
         n, d = self.X.shape
         parents = np.empty((n, 2), dtype=np.int64)
         for i in range(n):
@@ -413,13 +415,12 @@ class ClassicGa:
         }
 
     def generation(self, noise: dict = None) -> float:
-        self._ensure_init()
         if noise is None:
             noise = self.draw_noise()
         dom = self.problem.domain
         p1 = self.X[noise["parents"][:, 0]]
         p2 = self.X[noise["parents"][:, 1]]
-        crossed, _ = kernels.sbx_children(p1, p2, noise["sbx_u"], self.eta_c)
+        crossed = kernels.sbx_children(p1, p2, noise["sbx_u"], self.eta_c)
         gate = (noise["cx_gate"] < self.crossover_rate)[:, None]
         children = np.where(gate, crossed, p1)
         children = kernels.poly_mutation(
@@ -427,11 +428,7 @@ class ClassicGa:
             self.eta_m, dom.lower, dom.upper,
         )
         cfit = self.problem.eval_array(children)
-        b = int(np.argmin(cfit))
-        if cfit[b] < self.best_fitness:
-            self.best_fitness = float(cfit[b])
-            self.best_x = children[b].copy()
-        else:
+        if not self._track_best(children, cfit):
             w = int(np.argmax(cfit))
             children[w] = self.best_x
             cfit[w] = self.best_fitness
@@ -440,7 +437,7 @@ class ClassicGa:
         return self.best_fitness
 
 
-class ClassicDe:
+class ClassicDe(Population):
     """Differential evolution with binomial crossover and greedy replacement.
 
     Mutation variants: "rand1" (x_r1 + F (x_r2 - x_r3)) and "best1"
@@ -451,35 +448,16 @@ class ClassicDe:
     """
 
     name = "de"
+    f_scale = 0.5
+    cr = 0.9
 
     def __init__(self, problem: Problem, pop_size: int, rng: Rng,
-                 f_scale: float = 0.5, cr: float = 0.9,
                  variant: str = "rand1", init=None):
         if variant not in ("rand1", "best1"):
             raise ValueError(f"unknown DE variant {variant!r}")
-        check_pop(self.name, pop_size)
-        self.problem = problem
-        self.pop_size = int(pop_size)
-        self.rng = rng
-        self.f_scale = float(f_scale)
-        self.cr = float(cr)
+        super().__init__(problem, pop_size, rng)
         self.variant = variant
-        dom = problem.domain
-        self.X = dom.clip(np.array(init, dtype=float)) if init is not None \
-            else dom.sample(rng, self.pop_size)
-        self.fit = None
-        self.best_x = None
-        self.best_fitness = math.inf
-        self._initialised = False
-
-    def _ensure_init(self):
-        if self._initialised:
-            return
-        self.fit = self.problem.eval_array(self.X)
-        b = int(np.argmin(self.fit))
-        self.best_x = self.X[b].copy()
-        self.best_fitness = float(self.fit[b])
-        self._initialised = True
+        self.X, self.fit = self._first_population(init)
 
     def draw_noise(self) -> dict:
         n, d = self.X.shape
@@ -497,7 +475,6 @@ class ClassicDe:
         return {"f_scale": self.f_scale, "cr": self.cr}
 
     def generation(self, noise: dict = None) -> float:
-        self._ensure_init()
         if noise is None:
             noise = self.draw_noise()
         dom = self.problem.domain
@@ -519,14 +496,11 @@ class ClassicDe:
         win = tfit <= self.fit
         self.X[win] = trial[win]
         self.fit[win] = tfit[win]
-        b = int(np.argmin(self.fit))
-        if self.fit[b] < self.best_fitness:
-            self.best_fitness = float(self.fit[b])
-            self.best_x = self.X[b].copy()
+        self._track_best(self.X, self.fit)
         return self.best_fitness
 
 
-class ClassicCmaes:
+class ClassicCmaes(Population):
     """CMA-ES with cumulative step-size adaptation and rank-one plus rank-mu
     covariance updates (``CmaState``), recombining the best half with the
     log-rank weights. The covariance is kept only as its packed lower
@@ -541,21 +515,9 @@ class ClassicCmaes:
 
     def __init__(self, problem: Problem, pop_size: int = None, rng: Rng = None,
                  sigma0: float = None, mean0=None):
-        self.problem = problem
-        d = problem.dim
-        self.pop_size = int(pop_size) if pop_size else 4 + int(3 * math.log(d))
-        check_pop(self.name, self.pop_size)
-        self.rng = rng
-        dom = problem.domain
-        self.mean = (
-            np.array(mean0, dtype=float).ravel()
-            if mean0 is not None else dom.sample(rng, 1)[0]
-        )
-        self.sigma = float(sigma0) if sigma0 else 0.3 * float(dom.width.max())
-        self.L = pack_lower(np.eye(d))
-        self.cma = CmaState(dom, self.pop_size)
-        self.best_x = None
-        self.best_fitness = math.inf
+        super().__init__(problem, CmaState.lam(problem.dim, pop_size), rng)
+        self.cma = CmaState(problem.domain, self.pop_size)
+        self.mean, self.sigma, self.L = self.cma.start(rng, sigma0, mean0)
 
     def draw_noise(self) -> dict:
         return {"z": self.rng.normal(self.problem.dim, self.pop_size)}
@@ -587,8 +549,5 @@ class ClassicCmaes:
             self.L)
         cma.box.observe(self.mean)
 
-        b = int(np.argmin(fit))
-        if fit[b] < self.best_fitness:
-            self.best_fitness = float(fit[b])
-            self.best_x = Xc[b].copy()
+        self._track_best(Xc, fit)
         return self.best_fitness

@@ -29,7 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classic import CmaState, check_pop, pack_lower, unpack_lower
+from .classic import (
+    ClassicDe,
+    ClassicGa,
+    ClassicPso,
+    CmaState,
+    Population,
+    pack_lower,
+    unpack_lower,
+)
 # no commit calls it: kept only because perfbench/spans.py wraps
 # diffevo.cholesky_with_jitter by name
 from .classic import cholesky_with_jitter  # noqa: F401
@@ -63,24 +71,17 @@ class DiffConfig:
             self.relax = RelaxConfig()
 
 
-class DiffAlgorithm:
-    """Shared plumbing: tape, params, staging and best tracking."""
+class DiffAlgorithm(Population):
+    """Shared plumbing: tape and staging."""
 
     name = "diff"
 
     def __init__(self, problem: Problem, pop_size: int, rng: Rng,
                  cfg: DiffConfig = None):
-        self.problem = problem
-        self.pop_size = int(pop_size)
-        self.rng = rng
+        super().__init__(problem, pop_size, rng)
         self.cfg = cfg if cfg is not None else DiffConfig()
         self.tape = Tape()
-        self.best_x = None
-        self.best_fitness = math.inf
         self._staged = None
-
-    def parameters(self):
-        return self.tape.params
 
     def _loss_from(self, fit: Var) -> Var:
         if self.cfg.loss == "mean":
@@ -92,12 +93,6 @@ class DiffAlgorithm:
         if optimizer is None:
             return np.zeros_like(like)
         return optimizer.delta(name, like.shape)
-
-    def _track_best(self, X: np.ndarray, fit: np.ndarray) -> None:
-        b = int(np.argmin(fit))
-        if fit[b] < self.best_fitness:
-            self.best_fitness = float(fit[b])
-            self.best_x = X[b].copy()
 
     def current_best(self) -> float:
         """Best-so-far including the staged (not yet committed) candidates."""
@@ -115,39 +110,24 @@ class DiffAlgorithm:
 class DiffPso(DiffAlgorithm):
     """Particle swarm with per-particle learnable inertia and pull weights.
 
-    omega, c1 and c2 live in R^N (one scalar per particle, initialised at
-    the canonical values) and the population itself is a trainable slot.
-    The velocity buffer is plain state updated from detached values.
+    omega, c1 and c2 live in R^N (one scalar per particle, starting at
+    ``ClassicPso``'s constants) and the population itself is a trainable
+    slot. The velocity buffer is plain state updated from detached values.
     """
 
     name = "pso-diff"
 
-    def __init__(self, problem, pop_size, rng, cfg=None,
-                 omega: float = 0.7298, c1: float = 1.49618, c2: float = 1.49618,
-                 velocity_clamp: float = 0.2, init=None):
+    def __init__(self, problem, pop_size, rng, cfg=None, init=None):
         super().__init__(problem, pop_size, rng, cfg)
         n, d = self.pop_size, problem.dim
-        dom = problem.domain
-        x0 = dom.clip(np.array(init, dtype=float)) if init is not None \
-            else dom.sample(rng, n)
+        x0, self.pfit = self._first_population(init)
         self.pX = self.tape.param("X", x0)
-        self.p_omega = self.tape.param("omega", np.full((n, 1), omega))
-        self.p_c1 = self.tape.param("c1", np.full((n, 1), c1))
-        self.p_c2 = self.tape.param("c2", np.full((n, 1), c2))
-        self.vmax = velocity_clamp * dom.width
+        self.pbest = x0.copy()
+        self.p_omega = self.tape.param("omega", np.full((n, 1), ClassicPso.omega))
+        self.p_c1 = self.tape.param("c1", np.full((n, 1), ClassicPso.c1))
+        self.p_c2 = self.tape.param("c2", np.full((n, 1), ClassicPso.c2))
+        self.vmax = ClassicPso.velocity_clamp * problem.domain.width
         self.V = np.zeros((n, d))
-        self.pbest = None
-        self.pfit = None
-        self._initialised = False
-
-    def _ensure_init(self):
-        if self._initialised:
-            return
-        fit = self.problem.eval_array(self.pX.raw.value)
-        self.pbest = self.pX.raw.value.copy()
-        self.pfit = fit.copy()
-        self._track_best(self.pbest, fit)
-        self._initialised = True
 
     def draw_noise(self) -> dict:
         n, d = self.pop_size, self.problem.dim
@@ -161,7 +141,6 @@ class DiffPso(DiffAlgorithm):
         }
 
     def generation(self, noise: dict = None) -> Var:
-        self._ensure_init()
         if noise is None:
             noise = self.draw_noise()
         t = self.tape
@@ -211,39 +190,27 @@ class DiffGa(DiffAlgorithm):
     per-offspring crossover gate through one logit, and the per-gene
     mutation gates through a logit vector in R^D. The crossover gate blends
     the SBX child with the first parent; mutation adds its offset through
-    the (relaxed) gate mask.
+    the (relaxed) gate mask. Each starts at ``ClassicGa``'s constants and
+    its mutation rate 1/d.
     """
 
     name = "ga-diff"
 
-    def __init__(self, problem, pop_size, rng, cfg=None,
-                 crossover_rate: float = 0.9, mutation_rate: float = None,
-                 eta_c: float = 15.0, eta_m: float = 20.0, init=None):
-        check_pop(self.name, pop_size)
+    def __init__(self, problem, pop_size, rng, cfg=None, init=None):
         super().__init__(problem, pop_size, rng, cfg)
         n, d = self.pop_size, problem.dim
-        dom = problem.domain
-        if mutation_rate is None:
-            mutation_rate = 1.0 / d
-        x0 = dom.clip(np.array(init, dtype=float)) if init is not None \
-            else dom.sample(rng, n)
+        x0, self.fit = self._first_population(init)
         self.pX = self.tape.param("X", x0)
-        self.p_log_eta_c = self.tape.param("log_eta_c", [[math.log(eta_c)]])
-        self.p_log_eta_m = self.tape.param("log_eta_m", [[math.log(eta_m)]])
-        self.p_cx_logit = self.tape.param("cx_logit", [[_logit(crossover_rate)]])
+        self.p_log_eta_c = self.tape.param("log_eta_c",
+                                           [[math.log(ClassicGa.eta_c)]])
+        self.p_log_eta_m = self.tape.param("log_eta_m",
+                                           [[math.log(ClassicGa.eta_m)]])
+        self.p_cx_logit = self.tape.param(
+            "cx_logit", [[_logit(ClassicGa.crossover_rate)]])
         self.p_mut_logits = self.tape.param(
-            "mut_logits", np.full((1, d), _logit(mutation_rate))
+            "mut_logits", np.full((1, d), _logit(1.0 / d))
         )
         self.p_sel_logits = self.tape.param("sel_logits", np.zeros((1, n)))
-        self._initialised = False
-        self.fit = None
-
-    def _ensure_init(self):
-        if self._initialised:
-            return
-        self.fit = self.problem.eval_array(self.pX.raw.value)
-        self._track_best(self.pX.raw.value, self.fit)
-        self._initialised = True
 
     def draw_noise(self) -> dict:
         n, d = self.pop_size, self.problem.dim
@@ -274,7 +241,6 @@ class DiffGa(DiffAlgorithm):
         return t.add(t.mul(lo_mask, lo_fn()), t.mul(hi_mask, hi_fn()))
 
     def generation(self, noise: dict = None) -> Var:
-        self._ensure_init()
         if noise is None:
             noise = self.draw_noise()
         t = self.tape
@@ -354,36 +320,24 @@ class DiffDe(DiffAlgorithm):
     donors mix parents through Gumbel-Softmax rows (self-index excluded).
     Replacement keeps greedy semantics in the forward pass and routes the
     backward pass through the trial vectors (straight-through), and the
-    incumbent best replaces the worst slot when elitism is on.
+    incumbent best replaces the worst slot when elitism is on. F and CR
+    start at ``ClassicDe``'s constants.
     """
 
     name = "de-diff"
 
     def __init__(self, problem, pop_size, rng, cfg=None,
-                 f_scale: float = 0.5, cr: float = 0.9,
                  variant: str = "rand1", init=None):
         if variant not in ("rand1", "best1"):
             raise ValueError(f"unknown DE variant {variant!r}")
-        check_pop(self.name, pop_size)
         super().__init__(problem, pop_size, rng, cfg)
-        n, d = self.pop_size, problem.dim
-        dom = problem.domain
-        x0 = dom.clip(np.array(init, dtype=float)) if init is not None \
-            else dom.sample(rng, n)
+        x0, self.fit = self._first_population(init)
         self.pX = self.tape.param("X", x0)
-        self.p_phi = self.tape.param("phi", [[math.log(f_scale)]])
-        self.p_cr_logit = self.tape.param("cr_logit", [[_logit(cr)]])
-        self.p_sel_logits = self.tape.param("sel_logits", np.zeros((1, n)))
+        self.p_phi = self.tape.param("phi", [[math.log(ClassicDe.f_scale)]])
+        self.p_cr_logit = self.tape.param("cr_logit", [[_logit(ClassicDe.cr)]])
+        self.p_sel_logits = self.tape.param("sel_logits",
+                                            np.zeros((1, self.pop_size)))
         self.variant = variant
-        self.fit = None
-        self._initialised = False
-
-    def _ensure_init(self):
-        if self._initialised:
-            return
-        self.fit = self.problem.eval_array(self.pX.raw.value)
-        self._track_best(self.pX.raw.value, self.fit)
-        self._initialised = True
 
     def draw_noise(self) -> dict:
         n, d = self.pop_size, self.problem.dim
@@ -402,7 +356,6 @@ class DiffDe(DiffAlgorithm):
         }
 
     def generation(self, noise: dict = None) -> Var:
-        self._ensure_init()
         if noise is None:
             noise = self.draw_noise()
         t = self.tape
@@ -509,20 +462,12 @@ class DiffCmaes(DiffAlgorithm):
 
     def __init__(self, problem, pop_size=None, rng=None, cfg=None,
                  sigma0: float = None, mean0=None):
-        dim = problem.dim
-        lam = int(pop_size) if pop_size else 4 + int(3 * math.log(dim))
-        check_pop(self.name, lam)
-        super().__init__(problem, lam, rng, cfg)
-        dom = problem.domain
-        mean = (
-            np.array(mean0, dtype=float).reshape(1, dim)
-            if mean0 is not None else dom.sample(rng, 1)
-        )
-        sigma = float(sigma0) if sigma0 else 0.3 * float(dom.width.max())
-        self.p_mu = self.tape.param("mu", mean)
+        super().__init__(problem, CmaState.lam(problem.dim, pop_size), rng, cfg)
+        self.cma = CmaState(problem.domain, self.pop_size)
+        mean, sigma, packed = self.cma.start(rng, sigma0, mean0)
+        self.p_mu = self.tape.param("mu", mean.reshape(1, -1))
         self.p_log_sigma = self.tape.param("log_sigma", [[math.log(sigma)]])
-        self.p_L = self.tape.param("L", pack_lower(np.eye(dim)))
-        self.cma = CmaState(dom, lam)
+        self.p_L = self.tape.param("L", packed)
 
     def draw_noise(self) -> dict:
         return {"z": self.rng.normal(self.problem.dim, self.pop_size)}

@@ -112,12 +112,11 @@ def michalewicz_grad(X):
 # ---------------------------------------------------------------------------
 
 
+# the first SBX child; the second is sbx_children(p2, p1, u, eta)
 def sbx_children(p1, p2, u, eta):
     e = 1.0 / (eta + 1.0)
     beta = np.where(u < 0.5, (2.0 * u) ** e, (1.0 / (2.0 * (1.0 - u))) ** e)
-    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-    return c1, c2
+    return 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
 
 
 def poly_mutation(x, u, gate, eta, lo, hi):

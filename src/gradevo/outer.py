@@ -7,8 +7,8 @@ backpropagate the generation loss, step every trainable slot with Adam,
 adjust the learning rate on stagnation, then commit the stepped state. A
 run over ``max_evals`` evaluations performs exactly
 ceil(max_evals / pop_size) generations of pop_size evaluations each; the
-lazy initial-population evaluation happens before the loop and is not part
-of that count.
+algorithm evaluates its first population when it is constructed, and that
+evaluation is not part of the count.
 """
 
 from __future__ import annotations
@@ -189,9 +189,6 @@ def run_loop(algo, problem, max_evals: int, optimizer: Adam = None,
     is_diff = hasattr(algo, "tape")
     records: list[RunRecord] = []
 
-    init = getattr(algo, "_ensure_init", None)
-    if init is not None:
-        init()
     offset = problem.n_evals
 
     try:

@@ -79,7 +79,6 @@ def test_criterion_3_classical_oracles():
 
     prob = make_problem("griewank", 5)
     de = ClassicDe(prob, pop_size=10, rng=Rng(1))
-    de._ensure_init()
     de_ok = True
     for _ in range(100):
         before = de.fit.copy()

@@ -27,7 +27,8 @@ def test_sbx_frozen_oracle():
     p1 = np.array([[0.0]])
     p2 = np.array([[1.0]])
     u = np.array([[0.25]])
-    c1, c2 = kernels.sbx_children(p1, p2, u, 15.0)
+    c1 = kernels.sbx_children(p1, p2, u, 15.0)
+    c2 = kernels.sbx_children(p2, p1, u, 15.0)
     np.testing.assert_allclose(c1[0, 0], 0.02119835965071315, atol=1e-5)
     np.testing.assert_allclose(c2[0, 0], 0.9788016403492869, atol=1e-5)
 
@@ -37,7 +38,8 @@ def test_sbx_identity_at_half():
     p1 = np.array([[3.0, -2.0]])
     p2 = np.array([[7.0, 4.0]])
     u = np.full((1, 2), 0.5)
-    c1, c2 = kernels.sbx_children(p1, p2, u, 15.0)
+    c1 = kernels.sbx_children(p1, p2, u, 15.0)
+    c2 = kernels.sbx_children(p2, p1, u, 15.0)
     np.testing.assert_allclose(c1, p1, atol=1e-12)
     np.testing.assert_allclose(c2, p2, atol=1e-12)
 
@@ -47,7 +49,8 @@ def test_sbx_preserves_parent_mean():
     p1 = rng.normal(size=(6, 4))
     p2 = rng.normal(size=(6, 4))
     u = rng.random((6, 4))
-    c1, c2 = kernels.sbx_children(p1, p2, u, 15.0)
+    c1 = kernels.sbx_children(p1, p2, u, 15.0)
+    c2 = kernels.sbx_children(p2, p1, u, 15.0)
     np.testing.assert_allclose(c1 + c2, p1 + p2, atol=1e-12)
 
 
@@ -211,7 +214,6 @@ def test_ga_best_never_worsens_and_elite_present():
 def test_de_per_slot_fitness_never_worsens():
     prob = make_problem("rosenbrock", 5)
     algo = ClassicDe(prob, pop_size=10, rng=Rng(2))
-    algo._ensure_init()
     prev = algo.fit.copy()
     for _ in range(100):
         algo.generation()
@@ -223,8 +225,8 @@ def test_de_identity_when_f0_cr1_rand1_collapses_donors():
     # F = 0 makes every donor a population member; with greedy replacement
     # fitness still never worsens and the trial equals x_r1 exactly
     prob = make_problem("sphere", 3)
-    algo = ClassicDe(prob, pop_size=6, rng=Rng(4), f_scale=0.0, cr=1.0)
-    algo._ensure_init()
+    algo = ClassicDe(prob, pop_size=6, rng=Rng(4))
+    algo.f_scale, algo.cr = 0.0, 1.0
     X_before = algo.X.copy()
     noise = algo.draw_noise()
     algo.generation(noise)

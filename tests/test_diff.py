@@ -75,7 +75,7 @@ def test_pso_at_lr_zero_is_classical_pso_bit_for_bit():
     ref = ClassicPso(make_problem("rosenbrock", 6), pop_size=8, rng=Rng(1),
                      init=X0)
     diff = DiffPso(prob, pop_size=8, rng=Rng(2), init=X0)
-    opt = Adam(diff.parameters(), lr=0.0)
+    opt = Adam(diff.tape.params, lr=0.0)
     for _ in range(10):
         noise = {"r1": rng.uniform(8, 6), "r2": rng.uniform(8, 6)}
         ref.generation(dict(noise))
@@ -148,7 +148,7 @@ def test_cmaes_hard_limit_matches_classical_with_shared_noise(
                            sigma0=sigma0, mean0=mean0)
         diff = DiffCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(2),
                          cfg=cfg, sigma0=sigma0, mean0=mean0)
-        opt = Adam(diff.parameters(), lr=0.0)
+        opt = Adam(diff.tape.params, lr=0.0)
         for _ in range(3):
             noise = {"z": rng.normal(d, pop)}
             ref.generation(dict(noise))
@@ -218,7 +218,7 @@ def test_gradients_reach_hyperparameters(name, problem):
     loss = algo.generation()
     algo.tape.backward(loss)
     got_any = False
-    for p in algo.parameters():
+    for p in algo.tape.params:
         g = p.raw.grad
         if g is not None:
             assert np.all(np.isfinite(g)), (name, problem, p.name)
@@ -327,9 +327,6 @@ def test_generation_cost_is_population_size():
     for name, cls in ALGOS.items():
         prob = make_problem("sphere", 4)
         algo = cls(prob, pop_size=9, rng=Rng(8))
-        init = getattr(algo, "_ensure_init", None)
-        if init is not None:
-            init()
         base = prob.n_evals
         drive(algo)
         assert prob.n_evals - base == 9, name
@@ -366,7 +363,7 @@ def test_cmaes_box_keeps_mean_off_ackley_corners():
     # coordinates at +-100, best 20 - 20 exp(-20), the lattice-corner value
     prob = make_problem("ackley", 5)
     algo = DiffCmaes(prob, pop_size=20, rng=Rng(0), sigma0=1.0)
-    opt = Adam(algo.parameters(), lr=0.01)
+    opt = Adam(algo.tape.params, lr=0.01)
     records, err = run_loop(algo, prob, max_evals=300 * 20, optimizer=opt)
     assert err is None and len(records) == 300
     dom = prob.domain
@@ -387,7 +384,7 @@ def test_best_fitness_is_the_array_value_of_best_x(name, problem):
     classical = name in CLASSIC_ALGORITHMS
     prob = make_problem(problem, 30 if classical else 5)
     algo = {**ALGOS, **CLASSIC_ALGORITHMS}[name](prob, pop_size=10, rng=Rng(3))
-    opt = None if classical else Adam(algo.parameters(), lr=0.01)
+    opt = None if classical else Adam(algo.tape.params, lr=0.01)
     records, err = run_loop(algo, prob, max_evals=30 * 10, optimizer=opt)
     assert err is None and len(records) == 30
     value = prob.eval_array(algo.best_x[None, :])[0]
@@ -437,7 +434,7 @@ def _cmaes_generations(cls, d, pop, n_gens, on_commit):
         return commit(*args)
 
     algo.cma.commit = spy
-    opt = Adam(algo.parameters(), lr=1.0) if cls is DiffCmaes else None
+    opt = Adam(algo.tape.params, lr=1.0) if cls is DiffCmaes else None
     for _ in range(n_gens):
         if opt is None:
             algo.generation()
@@ -498,7 +495,7 @@ def test_cmaes_adam_steps_only_the_packed_lower_triangle():
     d = 40
     prob = make_problem("sphere", d)
     algo = DiffCmaes(prob, pop_size=6, rng=Rng(0))
-    opt = Adam(algo.parameters(), lr=1.0)
+    opt = Adam(algo.tape.params, lr=1.0)
     records, err = run_loop(algo, prob, 12, opt)
     assert err is None and len(records) == 2
     packed = (1, d * (d + 1) // 2)

@@ -14,9 +14,12 @@ import gradevo
 from gradevo import cli
 from gradevo.classic import MIN_POP, ClassicPso
 from gradevo.harness import (
+    ALGO_NAMES,
     CLASSIC_ALGORITHMS,
     DIFF_ALGORITHMS,
     ExperimentConfig,
+    build_algo,
+    build_problem,
     load_experiment,
     load_run_csv,
     parse_config_file,
@@ -471,6 +474,22 @@ def test_population_minimum_holds_for_both_arms_and_the_config():
                 algos[algo](make_problem("sphere", 3), need - 1, Rng(0))
             ExperimentConfig(algo=algo, pop=need, budget=100)
             algos[algo](make_problem("sphere", 3), need, Rng(0))
+
+
+@pytest.mark.parametrize("name", [a for a in ALGO_NAMES if a != "adam"])
+def test_construction_evaluates_the_first_population(name):
+    # PSO, GA and DE evaluate their first population once when built and
+    # start from its best; CMA-ES has no population before its first sample
+    cfg = ExperimentConfig(algo=name, problem="ackley", dim=5, pop=6,
+                           budget=60)
+    problem = build_problem(cfg)
+    algo = build_algo(cfg, problem, cfg.seed)
+    if name.startswith("cmaes"):
+        assert problem.n_evals == 0
+        return
+    assert problem.n_evals == cfg.pop
+    X0 = algo.pX.raw.value if hasattr(algo, "tape") else algo.X
+    assert algo.best_fitness == problem.eval_array(X0).min()
 
 
 def test_cli_rejects_unknown_algorithm():
