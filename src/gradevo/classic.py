@@ -192,6 +192,14 @@ class CmaState:
     RuntimeError when the factor is not finite. Both variants recombine
     with ``rank_weights`` and gate with the binary h_sigma, so at learning
     rate zero the differentiable variant is the classical one.
+
+    The update flips the signs of R's rows in place and packs R itself
+    (R's upper triangle packed by columns is Rᵀ's lower one packed by
+    rows), so no second d x d array is formed. Rᵀ, the dense factor of the
+    row ``commit`` returns, is kept for the next ``sample`` of that same
+    row object, which then skips the unpack, and is dropped there. The
+    returned row is read-only: a caller that wants another factor passes
+    another array, which ``sample`` unpacks.
     """
 
     @staticmethod
@@ -206,6 +214,7 @@ class CmaState:
         self.p_sigma = np.zeros(domain.dim)
         self.p_c = np.zeros(domain.dim)
         self.gen_count = 0
+        self._dense = None              # (committed row, its dense factor)
 
     def start(self, rng: Rng, sigma0: float = None, mean0=None):
         """The first mean (d,), uniform in the box unless ``mean0`` is
@@ -217,11 +226,17 @@ class CmaState:
         sigma = float(sigma0) if sigma0 else 0.3 * float(dom.width.max())
         return mean, sigma, pack_lower(np.eye(dom.dim))
 
-    @staticmethod
-    def sample(mean, sigma: float, packed: np.ndarray, z: np.ndarray):
+    def sample(self, mean, sigma: float, packed: np.ndarray, z: np.ndarray):
         """The draws X = mean + sigma (L z)ᵀ, C-contiguous (lambda, d), and
-        M = L z (d, lambda), for normal draws z and a packed factor L."""
-        M = unpack_lower(packed, z.shape[0]) @ z
+        M = L z (d, lambda), for normal draws z and a packed factor L.
+        The dense L is the one the last ``commit`` kept when ``packed`` is
+        the row it returned, and is unpacked from ``packed`` otherwise."""
+        kept, self._dense = self._dense, None
+        if kept is not None and kept[0] is packed:
+            L = kept[1]
+        else:
+            L = unpack_lower(packed, z.shape[0])
+        M = L @ z
         X = np.multiply(M.T, sigma, order="C")
         X += mean
         return X, M
@@ -240,7 +255,8 @@ class CmaState:
         (lambda, d), their normal draws z (d, lambda) and recombination
         weights w over all lambda rows, applied to a step size sigma and a
         packed factor that may have moved since the draws. Returns the
-        candidate mean w X, the new sigma and the new packed factor."""
+        candidate mean w X, the new sigma and the new packed factor, a
+        read-only row whose dense factor the next ``sample`` reuses."""
         k = self.k
         d = X.shape[1]
         mu_cand = w @ X
@@ -282,13 +298,19 @@ class CmaState:
                                overwrite_a=1, overwrite_b=1)
         if info != 0:
             raise RuntimeError(f"covariance factor update failed: info {info}")
-        # dtpqrt takes a NaN without failing
-        L_new = _finite_factor(R.T * np.where(np.diag(R) < 0.0, -1.0, 1.0))
+        # flip R's rows in place for a positive diagonal (fancy-indexed
+        # rows of the Fortran-order R are much slower); Rᵀ is then the new
+        # factor, C-contiguous. dtpqrt takes a NaN without failing
+        R *= np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
+        L_new = _finite_factor(R.T)
         self.mean_diag_c = float(np.vdot(L_new, L_new)) / d
+        packed_new = dtrttp(R, uplo="U")[0].reshape(1, -1)
+        packed_new.flags.writeable = False
+        self._dense = (packed_new, L_new)
 
         csa_log = min(1.0, max(-1.0, (cs / k.d_sigma) * (norm / k.chi_n - 1.0)))
         sigma_new = max(sigma * math.exp(csa_log), 1e-300)
-        return mu_cand, sigma_new, pack_lower(L_new)
+        return mu_cand, sigma_new, packed_new
 
 
 class Population:

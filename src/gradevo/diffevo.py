@@ -50,6 +50,13 @@ def _logit(p: float) -> float:
     return math.log(p / (1.0 - p))
 
 
+def check_dim(algo: str, dim: int) -> None:
+    """Raise ValueError when ``algo`` cannot run in ``dim`` dimensions:
+    ga-diff starts its mutation logits at logit(1/d), infinite at d = 1."""
+    if algo == "ga-diff" and dim < 2:
+        raise ValueError(f"ga-diff needs at least 2 dimensions, got {dim}")
+
+
 @dataclass
 class DiffConfig:
     """Knobs shared by the four differentiable algorithms.
@@ -197,6 +204,7 @@ class DiffGa(DiffAlgorithm):
     name = "ga-diff"
 
     def __init__(self, problem, pop_size, rng, cfg=None, init=None):
+        check_dim(self.name, problem.dim)
         super().__init__(problem, pop_size, rng, cfg)
         n, d = self.pop_size, problem.dim
         x0, self.fit = self._first_population(init)
@@ -417,13 +425,13 @@ class DiffDe(DiffAlgorithm):
         self._staged = None
 
 
-def cma_sample(tape: Tape, mu: Var, log_sigma: Var, packed: Var,
-               z: np.ndarray) -> Var:
-    """``CmaState.sample`` as one tape node over the params mu, log sigma
-    and packed L at constant normal draws z; its vjp, the chain rule of
+def cma_sample(tape: Tape, cma: CmaState, mu: Var, log_sigma: Var,
+               packed: Var, z: np.ndarray) -> Var:
+    """``cma.sample`` as one tape node over the params mu, log sigma and
+    packed L at constant normal draws z; its vjp, the chain rule of
     mu + (sigma M)ᵀ with M = L z, keeps M, z and sigma, not the dense L."""
     sigma = float(np.exp(log_sigma.value[0, 0]))
-    X, M = CmaState.sample(mu.value, sigma, packed.value, z)
+    X, M = cma.sample(mu.value, sigma, packed.value, z)
 
     def vjp(G):
         return (G.sum(axis=0, keepdims=True),
@@ -489,7 +497,8 @@ class DiffCmaes(DiffAlgorithm):
 
         z = noise["z"]
         sigma = float(np.exp(self.p_log_sigma.raw.value[0, 0]))
-        Xs = cma_sample(t, self.p_mu.raw, self.p_log_sigma.raw, self.p_L.raw, z)
+        Xs = cma_sample(t, cma, self.p_mu.raw, self.p_log_sigma.raw,
+                        self.p_L.raw, z)
         Xc = t.clamp(Xs, dom.lower, dom.upper)
         fit = self.problem.eval_pop(t, Xc)
         f = fit.value.ravel().copy()

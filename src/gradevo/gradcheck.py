@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from .classic import CmaState
 from .diffevo import DiffCmaes, DiffConfig, DiffDe, DiffGa, DiffPso, cma_sample
 from .problems import benchmark_names, make_problem
 from .relax import RelaxConfig, Rng
@@ -246,8 +247,9 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     s = t.param("log_sigma", _away_from(rng, (1, 1), -1, 1))
     L = t.param("L", _away_from(rng, (1, 6), -2, 2))
     z = rng.normal(3, 4)
+    cma = CmaState(make_problem("sphere", 3).domain, 4)
     run("cma:sample",
-        lambda: weighted(t, cma_sample(t, mu.raw, s.raw, L.raw, z)), t)
+        lambda: weighted(t, cma_sample(t, cma, mu.raw, s.raw, L.raw, z)), t)
 
     return results
 

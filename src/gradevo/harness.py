@@ -25,7 +25,7 @@ import numpy as np
 from . import par
 from .classic import ClassicCmaes, ClassicDe, ClassicGa, ClassicPso, check_pop
 from .diffevo import ALGORITHMS as DIFF_ALGORITHMS
-from .diffevo import DiffConfig
+from .diffevo import DiffConfig, check_dim
 from .outer import Adam, PlateauScheduler, RunError, run_loop
 from .plots import SummaryStats, summary_stats
 from .problems import Problem, benchmark_names, make_problem
@@ -146,6 +146,7 @@ class ExperimentConfig:
         else:
             # the benchmark holds its own rules on dim, lo and hi
             make_problem(self.problem, self.dim, self.lo, self.hi)
+            check_dim(self.algo, self.dim)
         # the algorithms hold their own smallest population
         check_pop(self.algo, self.pop)
 

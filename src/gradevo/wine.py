@@ -199,7 +199,10 @@ def mlp_forward(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
     pass broadcasts b1 across the activations. The rows are independent
     and ``par.run`` spreads them over the CPUs; each chunk writes only its
     own rows of these buffers and squares residuals into its own scratch,
-    so the losses are bitwise the same at any pool width.
+    so the losses are bitwise the same at any pool width. A batch of one
+    row (the backprop arm) is one chunk; its tanh is then spread over
+    data-row chunks instead (``_data_chunks``). The gemms stay whole,
+    because row blocks of a product change its bits.
 
     ``with_ones`` is ``[F | 1]`` for a caller that keeps it, such as
     ``WineProblem``; it is built from ``features`` when omitted.
@@ -214,20 +217,40 @@ def mlp_forward(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
     r = np.empty((k, n, 1))
     losses = np.empty(k)
 
+    parts = par.split(k)
+    cuts = _data_chunks(n, len(parts))
+
     def rows(part, sq):
         for i in part:
             p, hi, ri = X[i], h[i], r[i]
             np.matmul(f1, p[w1a:b1b].reshape(spec.n_in + 1, spec.n_hidden),
                       out=hi)
-            np.tanh(hi, out=hi)
+            par.run(_tanh, [hi[c] for c in cuts])
             np.matmul(hi, p[w2a:w2b].reshape(spec.n_hidden, 1), out=ri)
             ri += p[b2a:b2b]
             ri -= t
             losses[i] = np.power(ri, 2.0, out=sq).mean()
 
-    parts = par.split(k)
     par.run(rows, parts, np.empty((len(parts), n, 1)))
     return losses, h, r
+
+
+def _data_chunks(n: int, row_chunks: int) -> list:
+    """Slices of the n data rows for the elementwise passes of a batch
+    whose parameter rows run as ``row_chunks`` chunks: several when those
+    are one chunk, which leaves the other CPUs idle, and else one. An
+    elementwise pass gives the same bits on any slice of its input."""
+    cuts = par.split(n) if row_chunks == 1 else [range(n)]
+    return [slice(c.start, c.stop) for c in cuts]
+
+
+def _tanh(a: np.ndarray) -> None:
+    np.tanh(a, out=a)
+
+
+def _one_minus_square(a: np.ndarray, out: np.ndarray) -> None:
+    np.square(a, out=out)
+    np.subtract(1.0, out, out=out)
 
 
 def _with_ones(features: np.ndarray) -> np.ndarray:
@@ -276,7 +299,8 @@ class WineProblem(Problem):
         (n, n_hidden) activations. ``par.run`` spreads the rows over the
         CPUs; each chunk has its own scratch and writes only its rows of
         the gradient, so the gradient is bitwise the same at any pool
-        width.
+        width. With one such row, d is formed over data-row chunks, as in
+        ``mlp_forward``.
         """
         xv, F, f1 = X.value, self.features, self._f1
         losses, h, r = mlp_forward(xv, F, self.targets, self.spec,
@@ -296,8 +320,8 @@ class WineProblem(Problem):
                     np.multiply((g[i, 0] / n) * 2.0, r[i], out=gs)
                     np.matmul(hi.T, gs, out=grad[i, w2a:w2b].reshape(n_hidden, 1))
                     grad[i, b2a] = gs.sum()
-                    np.square(hi, out=d)
-                    np.subtract(1.0, d, out=d)
+                    par.run(_one_minus_square, [hi[c] for c in cuts],
+                            [d[c] for c in cuts])
                     np.multiply(f1, gs, out=f1gs)
                     g1 = grad[i, w1a:b1b].reshape(n_in + 1, n_hidden)
                     np.matmul(f1gs.T, d, out=g1)
@@ -305,6 +329,7 @@ class WineProblem(Problem):
 
             parts = par.split(np.flatnonzero(g[:, 0]))
             m = len(parts)
+            cuts = _data_chunks(n, m)
             par.run(rows, parts, np.empty((m, n, 1)),
                     np.empty((m, n, n_in + 1)), np.empty((m, n, n_hidden)))
             return (grad,)

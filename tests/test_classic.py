@@ -158,6 +158,7 @@ def test_cholesky_with_jitter_rejects_a_nan_covariance():
 def test_cmaes_generation_fails_on_a_nan_covariance():
     algo = ClassicCmaes(make_problem("sphere", 5), pop_size=8, rng=Rng(0))
     algo.generation()
+    algo.L = algo.L.copy()   # the committed row is read-only
     algo.L[0, 5] = np.nan    # L[2, 2], after the 1 + 2 entries of rows 0, 1
     with pytest.raises(RuntimeError, match="non-finite"):
         algo.generation()

@@ -2,6 +2,7 @@
 staging semantics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gradevo.diffevo import (
     cma_sample,
 )
 from gradevo.harness import CLASSIC_ALGORITHMS, ExperimentConfig, run_single
+from gradevo import classic
 from gradevo.outer import Adam, run_loop
 from gradevo.problems import benchmark_names, make_problem
 from gradevo.relax import RelaxConfig, Rng
@@ -171,7 +173,8 @@ def test_cma_sample_node_is_the_classical_draw():
     mu, packed = g.normal(size=(1, d)), g.normal(size=(1, d * (d + 1) // 2))
     log_sigma, z = np.array([[-0.3]]), g.normal(size=(d, lam))
     sigma = math.exp(-0.3)
-    X_ref, M = CmaState.sample(mu, sigma, packed, z)
+    cma = CmaState(make_problem("sphere", d).domain, lam)
+    X_ref, M = cma.sample(mu, sigma, packed, z)
     L = unpack_lower(packed, d)
     assert X_ref.flags.c_contiguous and X_ref.shape == (lam, d)
     np.testing.assert_array_equal(M, L @ z)
@@ -180,7 +183,7 @@ def test_cma_sample_node_is_the_classical_draw():
     t = Tape()
     pm, ps, pl = (t.param(n, v) for n, v in
                   (("mu", mu), ("log_sigma", log_sigma), ("L", packed)))
-    X = cma_sample(t, pm.raw, ps.raw, pl.raw, z)
+    X = cma_sample(t, cma, pm.raw, ps.raw, pl.raw, z)
     assert len(t.nodes) == 4 and X.op == "cma_sample"
     np.testing.assert_array_equal(X.value, X_ref)
     G = g.normal(size=(lam, d))
@@ -515,3 +518,87 @@ def test_cmaes_non_finite_draw_fails_the_commit(d):
     noise["z"][1, 2] = np.nan             # L = I: draw 2 is NaN in x_1
     with pytest.raises(RuntimeError, match="non-finite"):
         algo.generation(noise)
+
+
+def _commit_inputs(d, lam, seed=0):
+    """A CmaState on a d-box and the arguments of one commit: draws from a
+    random lower-triangular factor whose diagonal entries have both signs,
+    so that R's diagonal has both too."""
+    g = np.random.default_rng(seed)
+    cma = CmaState(make_problem("sphere", d).domain, lam)
+    L = np.tril(g.normal(size=(d, d)) / math.sqrt(d))
+    diag = L[np.diag_indices(d)]
+    L[np.diag_indices(d)] = np.sign(diag) * (np.abs(diag) + 0.5)
+    packed = pack_lower(L)
+    mu_prev, sigma = g.normal(size=d), 0.7
+    z = g.normal(size=(d, lam))
+    X, _ = cma.sample(mu_prev, sigma, packed, z)
+    w = cma.rank_weights(g.normal(size=lam))
+    return cma, (X, z, w, mu_prev, sigma, sigma, packed)
+
+
+def test_commit_packs_r_in_place_bitwise_as_the_dense_formula(monkeypatch):
+    # the rows of R flipped in place and packed as they lie give the bits
+    # of the packed, mean(diag C) and factor of Rᵀ * sign
+    d = 300
+    cma, args = _commit_inputs(d, 30)
+    qr, dtpqrt = [], classic.dtpqrt
+
+    def spy(*a, **kw):
+        out = dtpqrt(*a, **kw)
+        qr.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(classic, "dtpqrt", spy)
+    _, _, packed = cma.commit(*args)
+    R = qr[0]
+    assert np.any(np.diag(R) < 0.0) and np.any(np.diag(R) > 0.0)
+    L_ref = R.T * np.where(np.diag(R) < 0.0, -1.0, 1.0)
+    np.testing.assert_array_equal(packed, pack_lower(L_ref))
+    assert cma.mean_diag_c == float(np.vdot(L_ref, L_ref)) / d
+    kept, L = cma._dense
+    assert kept is packed
+    np.testing.assert_array_equal(L, L_ref)
+
+
+def test_commit_hands_its_dense_factor_to_the_next_sample_only():
+    d, lam = 50, 8
+    cma, args = _commit_inputs(d, lam)
+    mean, _, packed = cma.commit(*args)
+    # the kept factor is the packed row's, laid out as unpack_lower's
+    L = cma._dense[1]
+    np.testing.assert_array_equal(L, unpack_lower(packed, d))
+    assert L.flags.c_contiguous
+    assert np.all(np.triu(L, 1) == 0.0)
+    # a row that is not the committed object is unpacked, never served
+    # the kept factor; any sample drops it
+    z = np.random.default_rng(1).normal(size=(d, lam))
+    other = 2.0 * packed
+    X, M = cma.sample(mean, 0.5, other, z)
+    np.testing.assert_array_equal(M, unpack_lower(other, d) @ z)
+    assert cma._dense is None
+    _, _, packed = cma.commit(*args)
+    X, M = cma.sample(mean, 0.5, packed, z)
+    np.testing.assert_array_equal(M, unpack_lower(packed, d) @ z)
+    np.testing.assert_array_equal(X, mean + 0.5 * M.T)
+    assert cma._dense is None
+
+
+def test_committed_packed_row_is_read_only():
+    cma, args = _commit_inputs(6, 4)
+    _, _, packed = cma.commit(*args)
+    with pytest.raises(ValueError, match="read-only"):
+        packed[0, 0] = 1.0
+
+
+def test_commit_peak_memory_stays_within_one_factor_and_two_rows():
+    # R is packed where it lies: one dense d x d array at a time
+    d = 600
+    cma, args = _commit_inputs(d, 30)
+    tracemalloc.start()
+    try:
+        cma.commit(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (d * d + d * (d + 1))

@@ -446,6 +446,9 @@ def test_wine_rejects_the_size_and_box_it_ignores(tmp_path, capsys):
     ["run", "--algo", "cmaes", "--pop", "1", "--dim", "3", "--budget", "8"],
     ["run", "--algo", "ga", "--pop", "1", "--dim", "3", "--budget", "8"],
     ["run", "--algo", "ga-diff", "--pop", "1", "--dim", "3", "--budget", "8"],
+    # ga-diff's mutation logits start at logit(1/d), infinite at d = 1
+    ["run", "--algo", "ga-diff", "--problem", "sphere", "--dim", "1",
+     "--budget", "20"],
     ["suite", "--problems", "sphere", "--dims", "3", "--algos", "pso,de,cmaes",
      "--evals-per-dim", "8", "--pop", "3"],
 ])
@@ -474,6 +477,17 @@ def test_population_minimum_holds_for_both_arms_and_the_config():
                 algos[algo](make_problem("sphere", 3), need - 1, Rng(0))
             ExperimentConfig(algo=algo, pop=need, budget=100)
             algos[algo](make_problem("sphere", 3), need, Rng(0))
+
+
+def test_ga_diff_needs_two_dimensions_in_the_config_and_the_constructor():
+    msg = "^ga-diff needs at least 2 dimensions, got 1$"
+    with pytest.raises(ValueError, match=msg):
+        ExperimentConfig(algo="ga-diff", dim=1, pop=4, budget=20)
+    with pytest.raises(ValueError, match=msg):
+        DIFF_ALGORITHMS["ga-diff"](make_problem("sphere", 1), 4, Rng(0))
+    # the classical GA mutates its one gene at rate 1
+    ExperimentConfig(algo="ga", dim=1, pop=4, budget=20)
+    ExperimentConfig(algo="ga-diff", dim=2, pop=4, budget=20)
 
 
 @pytest.mark.parametrize("name", [a for a in ALGO_NAMES if a != "adam"])
