@@ -87,14 +87,17 @@ def check_pop(algo: str, pop: int) -> None:
             f"{algo} needs a population of at least {need}, got {pop}")
 
 
-def tournament_select(fit: np.ndarray, rng: Rng, k: int) -> int:
-    """Index of the tournament winner: k entrants drawn without replacement,
-    lowest fitness wins, earlier entrant wins ties."""
+def tournament_select(fit: np.ndarray, rng: Rng, k: int,
+                      rows: int) -> np.ndarray:
+    """The winners of ``rows`` tournaments, (rows,): each takes the first k
+    entries of a permutation of the population (``Rng.permutation`` draws
+    them all at once), lowest fitness wins, earlier entrant wins ties."""
     n = fit.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"tournament size {k} out of range for population {n}")
-    order = rng.permutation(n)[:k]
-    return int(order[np.argmin(fit[order])])
+    order = rng.permutation(n, rows)[:, :k]
+    win = np.argmin(fit[order], axis=1)
+    return order[np.arange(rows), win]
 
 
 def _finite_factor(L: np.ndarray) -> np.ndarray:
@@ -415,13 +418,13 @@ class ClassicGa(Population):
         self.X, self.fit = self._first_population(init)
 
     def draw_noise(self) -> dict:
+        """The generation's draws. The 2n tournaments, two per offspring
+        slot, come from one ``tournament_select``, whose permutations are
+        the ones 2n successive single tournaments would draw."""
         n, d = self.X.shape
-        parents = np.empty((n, 2), dtype=np.int64)
-        for i in range(n):
-            parents[i, 0] = tournament_select(self.fit, self.rng, self.k_tournament)
-            parents[i, 1] = tournament_select(self.fit, self.rng, self.k_tournament)
         return {
-            "parents": parents,
+            "parents": tournament_select(self.fit, self.rng,
+                                         self.k_tournament, 2 * n).reshape(n, 2),
             "cx_gate": self.rng.uniform(n, 1).ravel(),
             "sbx_u": self.rng.uniform(n, d),
             "mut_gate": self.rng.uniform(n, d),
@@ -482,13 +485,13 @@ class ClassicDe(Population):
         self.X, self.fit = self._first_population(init)
 
     def draw_noise(self) -> dict:
+        """The generation's draws. Slot i's donor indices, k distinct ones
+        other than i, are row i of one ``Rng.distinct_indices`` call, which
+        draws the rows as n successive single calls would."""
         n, d = self.X.shape
         k = 3 if self.variant == "rand1" else 2
-        idx = np.empty((n, k), dtype=np.int64)
-        for i in range(n):
-            idx[i] = self.rng.distinct_indices(n, k, exclude=i)
         return {
-            "idx": idx,
+            "idx": self.rng.distinct_indices(n, k, exclude=np.arange(n)),
             "tau": self.rng.uniform(n, d),
             "jrand": self.rng.integers(0, d, size=n).astype(np.int64),
         }

@@ -6,7 +6,9 @@ installed on the module (timing spans, for instance) see every call.
 
 Each benchmark ``<name>_batch`` is the one definition of that function's
 value, on and off the tape; its ``<name>_grad`` twin is the closed-form
-gradient the tape node's vjp scales by the incoming row gradient.
+gradient the tape node's vjp scales by the incoming row gradient. The
+vjp calls it on the rows that gradient reaches only, so a gradient is
+row by row: a row's result does not depend on the other rows passed.
 """
 
 from __future__ import annotations

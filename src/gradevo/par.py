@@ -8,7 +8,8 @@ and write into buffers the caller allocated.
 
 ``pin_blas`` sets the OpenBLAS that numpy and scipy ship to one thread:
 with more, a product's summation order follows the thread count, and the
-same seed gives different bytes on different machines.
+same seed gives different bytes on different machines. ``blas_threads``
+reads their counts back without setting them.
 """
 
 from __future__ import annotations
@@ -81,19 +82,16 @@ def _openblas_call(lib, verb: str):
     return None
 
 
-def pin_blas() -> int:
-    """Set every OpenBLAS bundled with numpy or scipy to one thread.
-
-    Returns the largest thread count read back from them, 0 when none is
-    found (another BLAS, which this leaves alone).
-    """
+def _openblas_libs():
+    """(folder, set, get) for each OpenBLAS bundled with numpy or scipy
+    that exports both thread calls; folder is "numpy" or "scipy"."""
     import ctypes
     import glob
 
     site = os.path.dirname(os.path.dirname(np.__file__))
-    counts = []
-    for libs in ("numpy.libs", "scipy.libs"):
-        for path in sorted(glob.glob(os.path.join(site, libs, "*openblas*"))):
+    for pkg in ("numpy", "scipy"):
+        pattern = os.path.join(site, f"{pkg}.libs", "*openblas*")
+        for path in sorted(glob.glob(pattern)):
             lib = ctypes.CDLL(path)
             set_threads = _openblas_call(lib, "set")
             get_threads = _openblas_call(lib, "get")
@@ -103,6 +101,25 @@ def pin_blas() -> int:
             set_threads.restype = None
             get_threads.argtypes = []
             get_threads.restype = ctypes.c_int
-            set_threads(1)
-            counts.append(int(get_threads()))
-    return max(counts, default=0)
+            yield pkg, set_threads, get_threads
+
+
+def blas_threads() -> dict:
+    """The thread count each OpenBLAS bundled with numpy or scipy reports,
+    keyed "numpy" and "scipy" (the larger when a folder holds two); it
+    sets nothing. Empty when there is none (another BLAS)."""
+    counts: dict = {}
+    for pkg, _, get_threads in _openblas_libs():
+        counts[pkg] = max(counts.get(pkg, 0), int(get_threads()))
+    return counts
+
+
+def pin_blas() -> int:
+    """Set every OpenBLAS bundled with numpy or scipy to one thread.
+
+    Returns the largest thread count read back from them, 0 when none is
+    found (another BLAS, which this leaves alone).
+    """
+    for _, set_threads, _ in _openblas_libs():
+        set_threads(1)
+    return max(blas_threads().values(), default=0)

@@ -95,12 +95,20 @@ class BenchmarkProblem(Problem):
         return getattr(kernels, f"{self.name}_batch")(X)
 
     def _eval_pop(self, tape, X):
-        """The population's values as one node; its vjp scales each row
-        of the kernel's closed-form gradient by that row's gradient."""
+        """The population's values as one node. Its vjp evaluates the
+        kernel's closed-form gradient only on the rows whose incoming
+        gradient is nonzero (the winner alone under a "best" loss), scales
+        each by that row's gradient, and leaves the other rows zero. The
+        kernels are row by row, so a reached row's gradient is bitwise the
+        one a call on every row would give."""
         xv = X.value
 
         def vjp(g):
-            return (g * getattr(kernels, f"{self.name}_grad")(xv),)
+            rows = np.flatnonzero(g[:, 0])
+            grad = np.zeros(xv.shape)
+            grad[rows] = g[rows] * getattr(kernels, f"{self.name}_grad")(
+                xv[rows])
+            return (grad,)
 
         return tape._record(self.name, self._eval_array(xv).reshape(-1, 1),
                             (X,), vjp)

@@ -54,19 +54,50 @@ class Rng:
         """Uniform integers in [low, high)."""
         return self._g.integers(low, high, size=size)
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._g.permutation(n)
+    def permutation(self, n: int, rows: int = None) -> np.ndarray:
+        """A permutation of range(n); with ``rows``, a (rows, n) array of
+        them, drawn from the stream as ``rows`` successive single calls
+        would draw them."""
+        if rows is None:
+            return self._g.permutation(n)
+        return self._g.permuted(np.broadcast_to(np.arange(n), (rows, n)),
+                                axis=1)
 
-    def distinct_indices(self, n: int, k: int, exclude: int) -> np.ndarray:
-        """k distinct indices from range(n), all different from ``exclude``."""
+    def distinct_indices(self, n: int, k: int, exclude) -> np.ndarray:
+        """k distinct indices from range(n), all different from ``exclude``.
+
+        With an array ``exclude``, a (len(exclude), k) array: row r excludes
+        ``exclude[r]``, and the rows are drawn as successive single calls
+        would draw them. Each call takes scalar integers in [0, n) and keeps
+        a value that is neither excluded nor already picked. The values come
+        from one block of ``integers(0, n, size=m)``, which yields m scalar
+        draws; the stream is then rewound and advanced by exactly the number
+        of values used, so every later draw is unchanged.
+        """
         if k >= n:
             raise ValueError(f"cannot draw {k} distinct indices from {n} excluding one")
-        picked: list[int] = []
-        while len(picked) < k:
-            c = int(self._g.integers(0, n))
-            if c != exclude and c not in picked:
-                picked.append(c)
-        return np.array(picked, dtype=np.int64)
+        ex = np.atleast_1d(exclude).tolist()
+        # the expected number of draws for one row
+        per_row = sum(n / (n - 1 - j) for j in range(k))
+        state = self._g.bit_generator.state
+        drawn: list[int] = []
+        used = 0
+        flat: list[int] = []
+        for r, e in enumerate(ex):
+            picked: list[int] = []
+            while len(picked) < k:
+                if used == len(drawn):
+                    m = int(1.25 * per_row * (len(ex) - r)) + 8
+                    drawn += self._g.integers(0, n, size=m).tolist()
+                c = drawn[used]
+                used += 1
+                if c != e and c not in picked:
+                    picked.append(c)
+            flat += picked
+        self._g.bit_generator.state = state
+        self._g.integers(0, n, size=used)
+        out = np.array(flat, dtype=np.int64).reshape(-1, k)
+        return out if np.ndim(exclude) else out[0]
 
 
 @dataclass

@@ -137,9 +137,7 @@ def test_criterion_4_zero_learning_equivalence():
                 init=X0)
     worst = 0.0
     for _ in range(3):
-        idx = np.empty((n, 3), dtype=np.int64)
-        for i in range(n):
-            idx[i] = rng.distinct_indices(n, 3, exclude=i)
+        idx = rng.distinct_indices(n, 3, exclude=np.arange(n))
         tau_u = rng.uniform(n, d)
         jrand = rng.integers(0, d, size=n).astype(np.int64)
         cd.generation({"idx": idx, "tau": tau_u, "jrand": jrand})

@@ -87,3 +87,12 @@ def test_environments_and_env_line():
     assert bench_pair.environments(res) == {
         "parent": [{"numpy": "2.0", "blas_threads": "1", "nproc": "2"}],
         "change": [{"numpy": "2.0", "blas_threads": "1", "nproc": "2"}]}
+
+
+def test_blas_threads_reads_both_openblas_builds_under_perfbench_env():
+    from gradevo import par
+
+    counts = bench_pair.blas_threads(_path.parents[1])
+    # the same builds this process finds, each at perfbench's one thread
+    assert set(counts) == set(par.blas_threads())
+    assert all(v == 1 for v in counts.values())

@@ -105,13 +105,12 @@ def test_de_trial_jrand_coordinate_always_from_donor():
 def test_tournament_full_size_returns_best():
     fit = np.array([4.0, 1.0, 3.0, 2.0])
     for seed in range(10):
-        assert tournament_select(fit, Rng(seed), k=4) == 1
+        assert np.all(tournament_select(fit, Rng(seed), k=4, rows=5) == 1)
 
 
 def test_tournament_k1_is_uniform():
     fit = np.array([4.0, 1.0, 3.0, 2.0])
-    r = Rng(0)
-    picks = np.array([tournament_select(fit, r, k=1) for _ in range(8000)])
+    picks = tournament_select(fit, Rng(0), k=1, rows=8000)
     counts = np.bincount(picks, minlength=4)
     se = math.sqrt(0.25 * 0.75 * 8000)
     for c in counts:
@@ -122,17 +121,82 @@ def test_tournament_k2_prefers_better_half():
     # with k=2 the best individual wins every tournament it enters:
     # P(pick best of n=2... ) for n=4: P = 1 - (3/4 choose pairs without best)
     fit = np.array([1.0, 2.0, 3.0, 4.0])
-    r = Rng(1)
-    picks = np.array([tournament_select(fit, r, k=2) for _ in range(12000)])
+    picks = tournament_select(fit, Rng(1), k=2, rows=12000)
     counts = np.bincount(picks, minlength=4) / 12000
     # exact probabilities for k=2 of n=4: rank r wins iff both entrants rank >= r
     # P(best) = 1 - (3/4)(2/3)... direct: P(i) = 2 * (n - 1 - rank_i) / (n (n-1)) + 1/n * 0
     # enumerate: pairs (i, j), winner = lower fitness; P(0) = 3/6, P(1) = 2/6, P(2) = 1/6
     expect = np.array([3 / 6, 2 / 6, 1 / 6, 0.0])
     assert np.all(np.abs(counts - expect) < 0.02)
-    assert tournament_select(fit, Rng(0), k=4) == 0
+    assert np.all(tournament_select(fit, Rng(0), k=4, rows=3) == 0)
     with pytest.raises(ValueError):
-        tournament_select(fit, Rng(0), k=5)
+        tournament_select(fit, Rng(0), k=5, rows=1)
+
+
+def test_tournament_ties_go_to_the_earlier_entrant():
+    fit = np.array([1.0, 1.0, 1.0, 2.0])
+    r, twin = Rng(2), Rng(2)
+    picks = tournament_select(fit, r, k=3, rows=50)
+    for p in picks:
+        entrants = twin.permutation(4)[:3]
+        assert p == next(e for e in entrants if fit[e] == 1.0)
+
+
+# --- the batched draws against the per-row loops they replace ---------------
+
+def _old_ga_parents(fit, rng, k, n):
+    # one permutation per tournament, two tournaments per offspring slot
+    parents = np.empty((n, 2), dtype=np.int64)
+    for i in range(n):
+        for j in range(2):
+            order = rng._g.permutation(fit.shape[0])[:k]
+            parents[i, j] = order[np.argmin(fit[order])]
+    return parents
+
+
+def _old_de_indices(rng, n, k):
+    # one scalar draw per candidate index, rejection per slot
+    idx = np.empty((n, k), dtype=np.int64)
+    for i in range(n):
+        picked = []
+        while len(picked) < k:
+            c = int(rng._g.integers(0, n))
+            if c != i and c not in picked:
+                picked.append(c)
+        idx[i] = picked
+    return idx
+
+
+def _twins(algo_cls, pop, seed, **kw):
+    # an algorithm after its first population, and an Rng at the same state
+    algo = algo_cls(make_problem("sphere", 4), pop_size=pop, rng=Rng(seed),
+                    **kw)
+    twin = Rng(seed)
+    twin._g.bit_generator.state = algo.rng._g.bit_generator.state
+    return algo, twin
+
+
+@pytest.mark.parametrize("pop", [2, 3, 100])
+@pytest.mark.parametrize("seed", range(5))
+def test_ga_tournaments_draw_the_per_tournament_stream(seed, pop):
+    ga, twin = _twins(ClassicGa, pop, seed)
+    assert ga.k_tournament == 2
+    noise = ga.draw_noise()
+    np.testing.assert_array_equal(
+        noise["parents"], _old_ga_parents(ga.fit, twin, 2, pop))
+    np.testing.assert_array_equal(noise["cx_gate"],
+                                  twin.uniform(pop, 1).ravel())
+
+
+@pytest.mark.parametrize("pop", [4, 5, 100])
+@pytest.mark.parametrize("variant", ["rand1", "best1"])
+@pytest.mark.parametrize("seed", range(5))
+def test_de_indices_draw_the_per_index_stream(seed, variant, pop):
+    de, twin = _twins(ClassicDe, pop, seed, variant=variant)
+    noise = de.draw_noise()
+    k = 3 if variant == "rand1" else 2
+    np.testing.assert_array_equal(noise["idx"], _old_de_indices(twin, pop, k))
+    np.testing.assert_array_equal(noise["tau"], twin.uniform(pop, 4))
 
 
 def test_cholesky_with_jitter_recovers_and_reports():

@@ -104,9 +104,7 @@ def test_de_matches_classical_with_shared_noise():
     diff = DiffDe(prob_d, pop_size=n, rng=Rng(2), cfg=cfg, init=X0)
 
     for _ in range(3):
-        idx = np.empty((n, 3), dtype=np.int64)
-        for i in range(n):
-            idx[i] = rng.distinct_indices(n, 3, exclude=i)
+        idx = rng.distinct_indices(n, 3, exclude=np.arange(n))
         tau_u = rng.uniform(n, d)
         jrand = rng.integers(0, d, size=n).astype(np.int64)
 

@@ -62,3 +62,17 @@ def test_the_first_failing_chunk_wins(monkeypatch):
 
 def test_pin_blas_reads_back_one_thread():
     assert par.pin_blas() == 1
+
+
+def test_blas_threads_reads_without_setting(monkeypatch):
+    calls = []
+
+    def fake_libs():
+        for pkg, n in (("numpy", 4), ("scipy", 2), ("scipy", 3)):
+            yield pkg, lambda k: calls.append(k), lambda n=n: n
+
+    monkeypatch.setattr(par, "_openblas_libs", fake_libs)
+    assert par.blas_threads() == {"numpy": 4, "scipy": 3}
+    assert calls == []
+    par.pin_blas()
+    assert calls == [1, 1, 1]

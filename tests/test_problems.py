@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradevo import kernels
 from gradevo.problems import BoxDomain, benchmark_names, make_problem
 from gradevo.relax import Rng
 from gradevo.tape import Tape
@@ -79,6 +80,58 @@ def test_ackley_gradient_at_the_origin_is_zero():
     assert np.all(np.isfinite(g))
     np.testing.assert_array_equal(g[0], 0.0)
     assert np.all(g[1] != 0.0)
+
+
+@pytest.mark.parametrize("d", [9, 100])
+def test_grad_kernels_are_bitwise_row_by_row(d):
+    # the vjp calls <name>_grad on the reached rows only, so a row's
+    # gradient must not depend on which other rows share the call
+    X = make_problem("sphere", d).domain.sample(Rng(4), 40)
+    X[7] = 0.0
+    for name in benchmark_names():
+        grad = getattr(kernels, f"{name}_grad")
+        full = grad(X)
+        for rows in ([13], [0, 7, 8, 21, 39], list(range(40))):
+            np.testing.assert_array_equal(
+                grad(X[rows]).view(np.int64), full[rows].view(np.int64),
+                err_msg=f"{name} rows {rows}")
+
+
+def test_vjp_under_a_one_hot_gradient_is_the_dense_product():
+    X = make_problem("sphere", 9).domain.sample(Rng(5), 25)
+    for name in benchmark_names():
+        p = make_problem(name, 9)
+        for hot in (0, 11, 24):
+            g = np.zeros((25, 1))
+            g[hot] = 1.5
+            t = Tape()
+            px = t.param("x", X)
+            fit = p.eval_pop(t, px.raw)
+            t.backward(t.sum(t.mul(fit, t.constant(g))))
+            dense = g * getattr(kernels, f"{name}_grad")(X)
+            np.testing.assert_array_equal(px.raw.grad, dense,
+                                          err_msg=f"{name} row {hot}")
+
+
+def test_the_grad_kernel_sees_only_the_reached_rows(monkeypatch):
+    seen = []
+    grad = kernels.rosenbrock_grad
+
+    def spy(X):
+        seen.append(X.copy())
+        return grad(X)
+
+    monkeypatch.setattr(kernels, "rosenbrock_grad", spy)
+    p = make_problem("rosenbrock", 6)
+    X = p.domain.sample(Rng(6), 10)
+    t = Tape()
+    px = t.param("x", X)
+    g = np.zeros((10, 1))
+    g[[2, 5]] = [[1.0], [-0.5]]
+    t.backward(t.sum(t.mul(p.eval_pop(t, px.raw), t.constant(g))))
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], X[[2, 5]])
+    assert not np.any(px.raw.grad[[0, 1, 3, 4, 6, 7, 8, 9]])
 
 
 def test_all_benchmarks_finite_on_a_million_probes():

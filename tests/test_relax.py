@@ -145,6 +145,49 @@ def test_rng_distinct_indices_excludes_and_errors():
         r.distinct_indices(3, 3, exclude=0)
 
 
+def test_rng_permutation_rows_are_successive_permutations():
+    for n in (1, 2, 5):
+        r, twin = Rng(n), Rng(n)
+        rows = r.permutation(n, rows=6)
+        np.testing.assert_array_equal(rows, [twin.permutation(n)
+                                             for _ in range(6)])
+        np.testing.assert_array_equal(r.uniform(2, 2), twin.uniform(2, 2))
+
+
+class _CountingGenerator:
+    """A Generator whose ``integers`` calls are counted."""
+
+    def __init__(self, g):
+        self.g, self.bit_generator, self.calls = g, g.bit_generator, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.g.integers(*args, **kwargs)
+
+
+def test_rng_distinct_index_rows_are_successive_scalar_draws():
+    # n = 4, k = 3 needs about 7 draws a row; a row now and then needs
+    # more than the first block holds, and a second block follows
+    topped_up = 0
+    for seed in range(100):
+        r, twin = Rng(seed), Rng(seed)
+        r._g = _CountingGenerator(r._g)
+        idx = r.distinct_indices(4, 3, exclude=np.array([0, 3, 1]))
+        topped_up += r._g.calls > 2
+        for row, e in zip(idx, [0, 3, 1]):
+            picked = []
+            while len(picked) < 3:
+                c = int(twin.integers(0, 4))
+                if c != e and c not in picked:
+                    picked.append(c)
+            assert row.tolist() == picked
+        # the later draws, the buffered half of a 64-bit word included
+        np.testing.assert_array_equal(r._g.g.integers(0, 4, size=3),
+                                      twin.integers(0, 4, size=3))
+        np.testing.assert_array_equal(r._g.g.random(3), twin._g.random(3))
+    assert topped_up > 0
+
+
 def test_rng_uniform_stays_clear_of_endpoints():
     u = Rng(1).uniform(1000, 10)
     assert np.all(u > 0.0) and np.all(u < 1.0)

@@ -14,10 +14,13 @@ length ``BENCHMARK.json`` sets.
 
 The JSON file records the git revisions, the environment perfbench reports
 on each side (Python, numpy and scipy versions, the BLAS threads read back
-from OpenBLAS, the pool width as ``nproc``), the seeds, every pair's
-end-to-end metrics and, per workload and metric, each side's median and
-quartiles, the change/parent ratios with their median and quartiles, and
-how many pairs the change won (ties count for neither side).
+from numpy's OpenBLAS, the pool width as ``nproc``), the thread counts of
+both OpenBLAS builds, numpy's and scipy's (which runs the CMA-ES factor
+update), read in each side's checkout under perfbench's environment, the
+seeds, every pair's end-to-end metrics and, per workload and metric, each
+side's median and quartiles, the change/parent ratios with their median
+and quartiles, and how many pairs the change won (ties count for neither
+side).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+import run as perfbench_run  # noqa: E402  (perfbench's child environment)
 import stats  # noqa: E402  (perfbench's percentile rule)
 
 SIDES = ("parent", "change")
@@ -76,6 +80,22 @@ def perfbench(checkout: Path, workload: str, seed: int,
     out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
     out["env"] = parse_env(proc.stdout)
     return out
+
+
+# par.blas_threads reads the counts with pin_blas's calls and sets none
+BLAS_PROBE = ("import json; from gradevo import par; "
+              "print(json.dumps(par.blas_threads()))")
+
+
+def blas_threads(checkout: Path) -> dict:
+    """The thread counts of numpy's and of scipy's OpenBLAS, keyed "numpy"
+    and "scipy", read in a fresh process run in ``checkout`` under the
+    environment perfbench gives its children (its pinned thread variables,
+    with this tree's ``src`` on the path)."""
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], cwd=checkout,
+                          env=perfbench_run.child_env(checkout), check=True,
+                          text=True, stdout=subprocess.PIPE)
+    return json.loads(proc.stdout)
 
 
 def quartiles(values) -> dict:
@@ -162,6 +182,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         checkouts = {s: export(revs[s], Path(tmp) / s) for s in SIDES}
+        threads = {s: blas_threads(checkouts[s]) for s in SIDES}
         results = run_pairs(
             lambda side, w, seed: perfbench(checkouts[side], w, seed, seconds),
             workloads, seeds, spec["end_to_end"])
@@ -175,6 +196,7 @@ def main(argv=None) -> int:
                        "checkout": "git archive of the working tree"},
         },
         "environments": environments(results),
+        "openblas_threads": threads,
         "run_seconds": seconds,
         "seeds": seeds,
         "workloads": results,
