@@ -17,6 +17,14 @@ displacement for that slot; slots without a candidate keep their stepped
 values. With learning rate zero every displacement vanishes and the forward
 pass reduces exactly to the classical algorithm.
 
+Each variation step is one tape node with a hand-written vjp: the two
+relaxed samplers of ``relax``, ``pso_move`` (inertia, both pulls and both
+clamps), ``ga_variation`` (SBX, crossover-gate blend, gated polynomial
+mutation, clamp), ``de_variation`` (rand1 or best1 donor, binomial mask
+with the forced gene, clamp) and ``cma_sample``. A generation of
+``pso-diff`` records 3 nodes beyond its params, ``ga-diff`` 9 and a rand1
+``de-diff`` 10.
+
 Bookkeeping (personal/global bests, parent fitnesses, CMA evolution paths)
 is refreshed from detached values of the evaluated candidates, never through
 the graph.
@@ -43,7 +51,7 @@ from .classic import (
 from .classic import cholesky_with_jitter  # noqa: F401
 from .problems import Problem
 from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
-from .tape import Tape, Var, _sigmoid
+from .tape import Tape, Var, _reduce_to, _sigmoid
 
 
 def _logit(p: float) -> float:
@@ -151,25 +159,14 @@ class DiffPso(DiffAlgorithm):
         if noise is None:
             noise = self.draw_noise()
         t = self.tape
-        dom = self.problem.domain
-        X = self.pX.raw
-        v_const = t.constant(self.V)
-        r1 = t.constant(noise["r1"])
-        r2 = t.constant(noise["r2"])
-        pb = t.constant(self.pbest)
-        gb = t.constant(self.best_x.reshape(1, -1))
-
-        inertia = t.mul(v_const, self.p_omega.raw)
-        # kernels.pso_step's product order: at lr 0 this is ClassicPso exactly
-        cognitive = t.mul(t.mul(r1, self.p_c1.raw), t.sub(pb, X))
-        social = t.mul(t.mul(r2, self.p_c2.raw), t.sub(gb, X))
-        v_new = t.clamp(t.add(t.add(inertia, cognitive), social),
-                        -self.vmax, self.vmax)
-        x_new = t.clamp(t.add(X, v_new), dom.lower, dom.upper)
+        x_new, v_new = pso_move(
+            t, self.pX.raw, self.p_omega.raw, self.p_c1.raw, self.p_c2.raw,
+            self.V, noise["r1"], noise["r2"], self.pbest,
+            self.best_x.reshape(1, -1), self.vmax, self.problem.domain)
         fit = self.problem.eval_pop(t, x_new)
         self._staged = {
             "x_values": x_new.value.copy(),
-            "v_values": v_new.value.copy(),
+            "v_values": v_new,
             "fit": fit.value.ravel().copy(),
         }
         return self._loss_from(fit)
@@ -241,20 +238,11 @@ class DiffGa(DiffAlgorithm):
             ),
         }
 
-    def _two_branch(self, t: Tape, u: np.ndarray, lo_fn, hi_fn) -> Var:
-        """Blend the u < 0.5 branch with the u >= 0.5 branch; the branch
-        choice depends only on the constant draw, so it is gradient-safe."""
-        lo_mask = t.constant((u < 0.5).astype(float))
-        hi_mask = t.constant((u >= 0.5).astype(float))
-        return t.add(t.mul(lo_mask, lo_fn()), t.mul(hi_mask, hi_fn()))
-
     def generation(self, noise: dict = None) -> Var:
         if noise is None:
             noise = self.draw_noise()
         t = self.tape
         rc = self.cfg.relax
-        d = self.problem.dim
-        dom = self.problem.domain
         X = self.pX.raw
 
         s1 = gumbel_softmax(t, self.p_sel_logits.raw, rc.tau,
@@ -263,40 +251,13 @@ class DiffGa(DiffAlgorithm):
                             u=noise["sel_u2"], hard=rc.hard_selection)
         P1 = t.matmul(s1, X)
         P2 = t.matmul(s2, X)
-
-        # SBX spread: beta = (2u)^(1/(eta_c+1)) below the split point,
-        # (1/(2(1-u)))^(1/(eta_c+1)) above it
-        eta_c = t.exp(self.p_log_eta_c.raw)
-        e_c = t.powc(eta_c + 1.0, -1.0)
-        u = noise["sbx_u"]
-        beta = self._two_branch(
-            t, u,
-            lambda: t.pow(t.constant(2.0 * u), e_c),
-            lambda: t.pow(t.constant(1.0 / (2.0 * (1.0 - u))), e_c),
-        )
-        child = t.mul(
-            t.add(t.mul(beta + 1.0, P1), t.mul(1.0 - beta, P2)),
-            t.constant([[0.5]]),
-        )
-
         gate = gumbel_sigmoid(t, self.p_cx_logit.raw, rc.tau, u=noise["cx_u"],
                               hard=rc.hard_masks)
-        crossed = t.add(t.mul(child, gate), t.mul(P1, 1.0 - gate))
-
-        # polynomial mutation offset scaled by the box width, gated per gene
-        eta_m = t.exp(self.p_log_eta_m.raw)
-        e_m = t.powc(eta_m + 1.0, -1.0)
-        um = noise["mut_u"]
-        delta = self._two_branch(
-            t, um,
-            lambda: t.pow(t.constant(2.0 * um), e_m) - 1.0,
-            lambda: 1.0 - t.pow(t.constant(2.0 * (1.0 - um)), e_m),
-        )
         mask = gumbel_sigmoid(t, self.p_mut_logits.raw, rc.tau,
                               u=noise["mut_gate_u"], hard=rc.hard_masks)
-        width = t.constant(dom.width.reshape(1, d))
-        mutated = t.add(crossed, t.mul(t.mul(mask, delta), width))
-        cand = t.clamp(mutated, dom.lower, dom.upper)
+        cand = ga_variation(t, P1, P2, self.p_log_eta_c.raw,
+                            self.p_log_eta_m.raw, gate, mask, noise["sbx_u"],
+                            noise["mut_u"], self.problem.domain)
 
         fit = self.problem.eval_pop(t, cand)
         self._staged = {
@@ -326,10 +287,10 @@ class DiffDe(DiffAlgorithm):
     The scale factor is F = exp(phi); the crossover probability enters as a
     logit driving a Binary-Concrete mask with the usual forced coordinate;
     donors mix parents through Gumbel-Softmax rows (self-index excluded).
-    Replacement keeps greedy semantics in the forward pass and routes the
-    backward pass through the trial vectors (straight-through), and the
-    incumbent best replaces the worst slot when elitism is on. F and CR
-    start at ``ClassicDe``'s constants.
+    Replacement is greedy and off the tape: the loss reaches the
+    population through the trial vectors only, and the incumbent best
+    replaces the worst slot when elitism is on. F and CR start at
+    ``ClassicDe``'s constants.
     """
 
     name = "de-diff"
@@ -368,42 +329,25 @@ class DiffDe(DiffAlgorithm):
             noise = self.draw_noise()
         t = self.tape
         rc = self.cfg.relax
-        n, d = self.pop_size, self.problem.dim
-        dom = self.problem.domain
         X = self.pX.raw
-        x_prev = X.value.copy()
 
-        forbid = np.eye(n, dtype=bool)
-
-        def mix(u):
-            s = gumbel_softmax(t, self.p_sel_logits.raw, rc.tau, u=u,
-                               forbid=forbid, hard=rc.hard_selection)
-            return t.matmul(s, X)
-
-        F = t.exp(self.p_phi.raw)
-        if self.variant == "rand1":
-            x1, x2, x3 = mix(noise["sel_u1"]), mix(noise["sel_u2"]), mix(noise["sel_u3"])
-            donor = t.add(x1, t.mul(t.sub(x2, x3), F))
-        else:
-            x1, x2 = mix(noise["sel_u1"]), mix(noise["sel_u2"])
-            toward_best = t.sub(t.constant(self.best_x.reshape(1, d)), X)
-            donor = t.add(X, t.add(t.mul(toward_best, F), t.mul(t.sub(x1, x2), F)))
-
+        forbid = np.eye(self.pop_size, dtype=bool)
+        roles = 3 if self.variant == "rand1" else 2
+        donors = [t.matmul(gumbel_softmax(t, self.p_sel_logits.raw, rc.tau,
+                                          u=noise[f"sel_u{r + 1}"],
+                                          forbid=forbid,
+                                          hard=rc.hard_selection), X)
+                  for r in range(roles)]
         mask = gumbel_sigmoid(t, self.p_cr_logit.raw, rc.tau, u=noise["cross_u"],
                               hard=rc.hard_masks)
-        J = np.zeros((n, d))
-        J[np.arange(n), noise["jrand"]] = 1.0
-        mask_full = t.add(t.mul(mask, t.constant(1.0 - J)), t.constant(J))
-        trial = t.clamp(t.add(X, t.mul(mask_full, t.sub(donor, X))),
-                        dom.lower, dom.upper)
+        best = self.best_x if self.variant == "best1" else None
+        trial = de_variation(t, X, donors, self.p_phi.raw, mask, noise["jrand"],
+                             self.problem.domain, best)
         tfit = self.problem.eval_pop(t, trial)
 
         win = tfit.value.ravel() <= self.fit
-        hard_rows = np.where(win[:, None], trial.value, x_prev)
-        new_x = t.straight_through(t.constant(hard_rows), trial)
-
         self._staged = {
-            "x_values": new_x.value.copy(),
+            "x_values": np.where(win[:, None], trial.value, X.value),
             "trial_values": trial.value.copy(),
             "win": win,
             "fit": tfit.value.ravel().copy(),
@@ -439,6 +383,161 @@ def cma_sample(tape: Tape, cma: CmaState, mu: Var, log_sigma: Var,
                 pack_lower((G.T * sigma) @ z.T))
 
     return tape._record("cma_sample", X, (mu, log_sigma, packed), vjp)
+
+
+def _clamp(value: np.ndarray, domain):
+    # tape.clamp's value and its inside mask, at the domain's bounds
+    return (np.clip(value, domain.lower, domain.upper),
+            (value > domain.lower) & (value < domain.upper))
+
+
+def pso_move(tape: Tape, X: Var, omega: Var, c1: Var, c2: Var,
+             V: np.ndarray, r1: np.ndarray, r2: np.ndarray,
+             pbest: np.ndarray, gbest: np.ndarray, vmax: np.ndarray,
+             domain) -> tuple[Var, np.ndarray]:
+    """The PSO move as one tape node over X and the per-particle omega, c1
+    and c2: v = clamp(omega V + c1 r1 (pbest - X) + c2 r2 (gbest - X),
+    ±vmax), x = clamp(X + v) to the box, in ``kernels.pso_step``'s product
+    order. Returns x's node and the new velocity.
+
+    Forward and vjp evaluate the expressions of the chain of small tape
+    ops this node replaces, in its order, and sum each gradient's terms in
+    the order the tape's reverse walk added them, so both are bitwise that
+    chain's. ``ga_variation`` and ``de_variation`` keep the same rule.
+    """
+    xv = X.value
+    inertia = V * omega.value
+    pull1 = r1 * c1.value
+    to_pbest = pbest - xv
+    pull2 = r2 * c2.value
+    to_gbest = gbest - xv
+    moved = inertia + pull1 * to_pbest + pull2 * to_gbest
+    v_new = np.clip(moved, -vmax, vmax)
+    v_inside = (moved > -vmax) & (moved < vmax)
+    x_new, x_inside = _clamp(xv + v_new, domain)
+
+    def vjp(g):
+        g_x = g * x_inside
+        g_v = g_x * v_inside
+        g_pull2 = g_v * to_gbest
+        g_pull1 = g_v * to_pbest
+        return ((g_x + -(g_v * pull2)) + -(g_v * pull1),
+                _reduce_to(g_v * V, omega.shape),
+                _reduce_to(g_pull1 * r1, c1.shape),
+                _reduce_to(g_pull2 * r2, c2.shape))
+
+    return tape._record("pso_move", x_new, (X, omega, c1, c2), vjp), v_new
+
+
+def _pow_grad(g, out, base):
+    # d/de of out = base**e, summed to the scalar exponent; zero at base 0
+    log = np.log(base, out=np.zeros(base.shape), where=base > 0.0)
+    return _reduce_to(g * out * log, (1, 1))
+
+
+def ga_variation(tape: Tape, P1: Var, P2: Var, log_eta_c: Var,
+                 log_eta_m: Var, gate: Var, mask: Var, sbx_u: np.ndarray,
+                 mut_u: np.ndarray, domain) -> Var:
+    """GA variation as one tape node: the SBX child of the parent rows P1
+    and P2 with spread exponent 1 / (exp(log_eta_c) + 1), blended with P1
+    by the (n, 1) crossover gate, plus the polynomial mutation offset with
+    exponent 1 / (exp(log_eta_m) + 1) times the box width through the
+    (n, d) gene mask, clamped to the box. Each of the two spreads takes
+    its u < 0.5 branch or its other one by the constant draw, so the
+    choice passes no gradient."""
+    p1, p2, gv, mv = P1.value, P2.value, gate.value, mask.value
+    eta_c = np.exp(log_eta_c.value)
+    eta_c1 = eta_c + 1.0
+    e_c = np.power(eta_c1, -1.0)
+    lo_c = (sbx_u < 0.5).astype(float)
+    hi_c = (sbx_u >= 0.5).astype(float)
+    base_lo_c = 2.0 * sbx_u
+    base_hi_c = 1.0 / (2.0 * (1.0 - sbx_u))
+    beta_lo = np.power(base_lo_c, e_c)
+    beta_hi = np.power(base_hi_c, e_c)
+    beta = lo_c * beta_lo + hi_c * beta_hi
+    beta_p = beta + 1.0
+    beta_m = 1.0 - beta
+    child = (beta_p * p1 + beta_m * p2) * 0.5
+    keep = 1.0 - gv
+    crossed = child * gv + p1 * keep
+
+    eta_m = np.exp(log_eta_m.value)
+    eta_m1 = eta_m + 1.0
+    e_m = np.power(eta_m1, -1.0)
+    lo_m = (mut_u < 0.5).astype(float)
+    hi_m = (mut_u >= 0.5).astype(float)
+    base_lo_m = 2.0 * mut_u
+    base_hi_m = 2.0 * (1.0 - mut_u)
+    delta_lo = np.power(base_lo_m, e_m)
+    delta_hi = np.power(base_hi_m, e_m)
+    delta = lo_m * (delta_lo - 1.0) + hi_m * (1.0 - delta_hi)
+    width = domain.width.reshape(1, -1)
+    cand, inside = _clamp(crossed + mv * delta * width, domain)
+
+    def vjp(g):
+        g_mut = g * inside
+        g_step = g_mut * width
+        g_delta = g_step * mv
+        g_e_m = (_pow_grad(-(g_delta * hi_m), delta_hi, base_hi_m)
+                 + _pow_grad(g_delta * lo_m, delta_lo, base_lo_m))
+        g_child = g_mut * gv
+        g_gate = (-_reduce_to(g_mut * p1, keep.shape)
+                  + _reduce_to(g_mut * child, gv.shape))
+        g_sum = g_child * 0.5
+        g_beta = -(g_sum * p2) + g_sum * p1
+        g_e_c = (_pow_grad(g_beta * hi_c, beta_hi, base_hi_c)
+                 + _pow_grad(g_beta * lo_c, beta_lo, base_lo_c))
+        return (g_mut * keep + g_sum * beta_p,
+                g_sum * beta_m,
+                g_e_c * -1.0 * np.power(eta_c1, -2.0) * eta_c,
+                g_e_m * -1.0 * np.power(eta_m1, -2.0) * eta_m,
+                g_gate,
+                _reduce_to(g_step * delta, mv.shape))
+
+    return tape._record("ga_variation", cand,
+                        (P1, P2, log_eta_c, log_eta_m, gate, mask), vjp)
+
+
+def de_variation(tape: Tape, X: Var, donors: list, phi: Var, mask: Var,
+                 jrand: np.ndarray, domain, best: np.ndarray = None) -> Var:
+    """DE variation as one tape node: the donor with scale F = exp(phi),
+    rand1 x1 + F (x2 - x3) from three donor rows, or with ``best`` best1
+    X + F (best - X) + F (x1 - x2) from two; the binomial crossover of
+    X toward it through the (n, d) mask, with gene ``jrand[i]`` of row i
+    forced to the donor's; the box clamp."""
+    xv = X.value
+    F = np.exp(phi.value)
+    J = np.zeros(xv.shape)
+    J[np.arange(xv.shape[0]), jrand] = 1.0
+    free = 1.0 - J
+    if best is None:
+        x1, x2, x3 = (v.value for v in donors)
+        spread = x2 - x3
+        donor = x1 + spread * F
+    else:
+        x1, x2 = (v.value for v in donors)
+        to_best = best.reshape(1, -1) - xv
+        spread = x1 - x2
+        donor = xv + (to_best * F + spread * F)
+    take = mask.value * free + J
+    to_donor = donor - xv
+    trial, inside = _clamp(xv + take * to_donor, domain)
+
+    def vjp(g):
+        g_pre = g * inside
+        g_donor = g_pre * take
+        g_mask = _reduce_to(g_pre * to_donor * free, mask.shape)
+        g_spread = g_donor * F
+        g_F = _reduce_to(g_donor * spread, (1, 1))
+        g_X = g_pre + -g_donor
+        if best is None:
+            return (g_X, g_donor, g_spread, -g_spread, g_F * F, g_mask)
+        g_F = g_F + _reduce_to(g_donor * to_best, (1, 1))
+        return ((g_X + g_donor) + -g_spread, g_spread, -g_spread, g_F * F,
+                g_mask)
+
+    return tape._record("de_variation", trial, (X, *donors, phi, mask), vjp)
 
 
 class DiffCmaes(DiffAlgorithm):

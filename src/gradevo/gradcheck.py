@@ -6,15 +6,16 @@ central differences with step h. The error metric per element is
 magnitude above one and absolute below, which keeps the check meaningful
 when the true gradient is near zero.
 
-``op_checks`` covers every differentiable tape operation and the wine,
-benchmark and CMA-ES sample nodes at generic random points (inputs kept
-away from kinks and branch boundaries so the finite difference is valid).
-``generation_checks`` differentiates one full generation of each of the
-four learnable algorithms with frozen noise, run in fully soft mode:
-straight-through estimators deliberately disagree with finite differences
-of their own hard forward, so the FD comparison uses the soft graph and the
-straight-through identity (hard forward, soft backward) is checked
-separately in the op suite.
+``op_checks`` covers every differentiable tape operation and every
+composite node: the wine loss, the benchmarks, the two relaxed samplers,
+the CMA-ES sample and the GA, DE and PSO variation steps, at generic random
+points (inputs kept away from kinks and branch boundaries so the finite
+difference is valid). ``generation_checks`` differentiates one full
+generation of each of the four learnable algorithms with frozen noise, run
+in fully soft mode: straight-through estimators deliberately disagree with
+finite differences of their own hard forward, so the FD comparison uses the
+soft graph, and the straight-through identity (hard forward, soft backward)
+is checked separately on the samplers' hard path.
 """
 
 from __future__ import annotations
@@ -26,9 +27,19 @@ from typing import Callable
 import numpy as np
 
 from .classic import CmaState
-from .diffevo import DiffCmaes, DiffConfig, DiffDe, DiffGa, DiffPso, cma_sample
-from .problems import benchmark_names, make_problem
-from .relax import RelaxConfig, Rng
+from .diffevo import (
+    DiffCmaes,
+    DiffConfig,
+    DiffDe,
+    DiffGa,
+    DiffPso,
+    cma_sample,
+    de_variation,
+    ga_variation,
+    pso_move,
+)
+from .problems import BoxDomain, benchmark_names, make_problem
+from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
 from .tape import Param, Tape, Var
 from .wine import MlpSpec, WineProblem
 
@@ -102,9 +113,19 @@ def _away_from(rng, shape, lo, hi, avoid=(), margin=0.05):
     return x
 
 
+def _box_cutting(values: np.ndarray, width: float) -> BoxDomain:
+    """A box of ``width`` whose upper bound in each coordinate lies halfway
+    between the two largest entries of that column of ``values``, so one
+    row per coordinate sits clamped on it. GA mutation scales by the
+    width, so values computed in a box of that width stay unchanged."""
+    top = np.sort(values, axis=0)[-2:].mean(axis=0)
+    return BoxDomain(top - width, top)
+
+
 def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
-    """FD-verify every differentiable op; oracle-verify straight-through,
-    whose defined gradient differs from plain FD."""
+    """FD-verify every differentiable op and composite node; oracle-verify
+    the samplers' straight-through path, whose defined gradient differs
+    from plain FD."""
     results: list[CheckResult] = []
 
     def check(name):
@@ -139,28 +160,6 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
             run(name, lambda t=t, a=a, b=b, op=op, weighted=weighted:
                 weighted(t, getattr(t, op)(a.raw, b.raw)), t)
 
-    rng, weighted = check("op:pow")
-    t = Tape()
-    a = t.param("a", _away_from(rng, (2, 3), 0.2, 2.0))
-    b = t.param("b", _away_from(rng, (2, 3), -1.5, 1.5))
-    run("op:pow", lambda: weighted(t, t.pow(a.raw, b.raw)), t)
-
-    for name, lo, hi, c in (("op:powc", 0.3, 2.0, 1.7),
-                            ("op:powc:int", -2, 2, 3.0)):
-        rng, weighted = check(name)
-        t = Tape()
-        a = t.param("a", _away_from(rng, (2, 3), lo, hi))
-        run(name, lambda t=t, a=a, c=c, weighted=weighted:
-            weighted(t, t.powc(a.raw, c)), t)
-
-    # --- unary elementwise
-    for op, lo, hi in (("exp", -2, 2), ("sigmoid", -3, 3)):
-        rng, weighted = check(f"op:{op}")
-        t = Tape()
-        a = t.param("a", _away_from(rng, (2, 3), lo, hi))
-        run(f"op:{op}", lambda t=t, a=a, op=op, weighted=weighted:
-            weighted(t, getattr(t, op)(a.raw)), t)
-
     # --- reductions
     for op in ("sum", "mean"):
         rng, _ = check(f"op:{op}")
@@ -193,33 +192,6 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     a = t.param("a", av)
     run("op:clamp", lambda: weighted(t, t.clamp(a.raw, -1.0, 1.0)), t)
 
-    # --- straight-through: analytic grad of the ST graph vs FD of the soft
-    rng, _ = check("op:straight_through")
-    t = Tape()
-    a = t.param("a", _away_from(rng, (2, 3), -2, 2))
-    wst = rng.normal(2, 3)
-
-    def soft_graph():
-        return t.sum(t.mul(t.sigmoid(a.raw), t.constant(wst)))
-
-    def st_graph():
-        soft = t.sigmoid(a.raw)
-        hard = (soft.value > 0.5).astype(float)
-        return t.sum(t.mul(t.straight_through(t.constant(hard), soft),
-                           t.constant(wst)))
-
-    t.reset(); t.zero_grad()
-    st_loss = st_graph()
-    t.backward(st_loss)
-    st_grad = a.raw.grad.copy()
-    errs = fd_check(soft_graph, t, h=h)
-    t.reset(); t.zero_grad()
-    soft_loss = soft_graph()
-    t.backward(soft_loss)
-    soft_grad = a.raw.grad.copy()
-    results.append(CheckResult("op:straight_through",
-                               max(_err(st_grad, soft_grad), errs["a"])))
-
     # --- the wine MLP loss node, k = 3 networks on 6 rows
     rng, weighted = check("wine:mlp_mse")
     spec = MlpSpec(n_in=3, n_hidden=4)
@@ -250,6 +222,115 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     cma = CmaState(make_problem("sphere", 3).domain, 4)
     run("cma:sample",
         lambda: weighted(t, cma_sample(t, cma, mu.raw, s.raw, L.raw, z)), t)
+
+    # --- the relaxed samplers, soft, at tau 0.7: 3 rows of 4 categories
+    # (one forbidden per row), and 3 x 4 gates under a scalar, a row and a
+    # full-shape logit
+    for suffix, forbid in (("", None), (":forbid", np.eye(3, 4, dtype=bool))):
+        name = f"relax:gumbel_softmax{suffix}"
+        rng, weighted = check(name)
+        t = Tape()
+        a = t.param("logits", _away_from(rng, (1, 4), -1, 1))
+        u = rng.uniform(3, 4)
+        run(name, lambda t=t, a=a, u=u, forbid=forbid, weighted=weighted:
+            weighted(t, gumbel_softmax(t, a.raw, 0.7, u=u, forbid=forbid)), t)
+    for suffix, shape in (("", (3, 4)), (":scalar", (1, 1)), (":row", (1, 4))):
+        name = f"relax:gumbel_sigmoid{suffix}"
+        rng, weighted = check(name)
+        t = Tape()
+        a = t.param("alpha", _away_from(rng, shape, -1, 1))
+        u = rng.uniform(3, 4)
+        run(name, lambda t=t, a=a, u=u, weighted=weighted:
+            weighted(t, gumbel_sigmoid(t, a.raw, 0.7, u=u, hard=False)), t)
+
+    # --- straight-through: each sampler's hard forward is the threshold or
+    # one-hot argmax of its soft one, and its gradient is the soft one
+    rng, _ = check("relax:straight_through")
+    w = rng.normal(3, 4)
+    u_sig, u_cat = rng.uniform(3, 4), rng.uniform(3, 4)
+    samplers = (
+        (lambda t, a, hard: gumbel_sigmoid(t, a, 0.7, u=u_sig, hard=hard),
+         lambda soft: (soft > 0.5).astype(float)),
+        (lambda t, a, hard: gumbel_softmax(t, a, 0.7, u=u_cat, hard=hard),
+         lambda soft: (soft == soft.max(axis=1, keepdims=True)).astype(float)),
+    )
+    err = 0.0
+    for sample, harden in samplers:
+        t = Tape()
+        a = t.param("a", _away_from(rng, (1, 4), -2, 2))
+        grads, values = [], []
+        for hard in (True, False):
+            t.reset(); t.zero_grad()
+            y = sample(t, a.raw, hard)
+            t.backward(t.sum(t.mul(y, t.constant(w))))
+            grads.append(a.raw.grad.copy())
+            values.append(y.value)
+        if not np.array_equal(values[0], harden(values[1])):
+            err = np.inf
+        err = max(err, _err(grads[0], grads[1]))
+    results.append(CheckResult("relax:straight_through", err))
+
+    # --- the variation nodes on 3 or 4 rows; each box clamps one row per
+    # coordinate at its upper bound, and no other entry lies near a bound
+    # (``_box_cutting``)
+    rng, weighted = check("ga:variation")
+    t = Tape()
+    P1 = t.param("P1", _away_from(rng, (3, 4), -2, 2))
+    P2 = t.param("P2", _away_from(rng, (3, 4), -2, 2))
+    log_eta_c = t.param("log_eta_c", [[2.7]])
+    log_eta_m = t.param("log_eta_m", [[3.0]])
+    gate = t.param("gate", _away_from(rng, (3, 1), 0.2, 0.8))
+    gmask = t.param("mask", _away_from(rng, (3, 4), 0.05, 0.3))
+    sbx_u = _away_from(rng, (3, 4), 0.0, 1.0, avoid=(0.0, 0.5, 1.0))
+    mut_u = _away_from(rng, (3, 4), 0.0, 1.0, avoid=(0.0, 0.5, 1.0))
+
+    def ga_node(box):
+        return ga_variation(t, P1.raw, P2.raw, log_eta_c.raw, log_eta_m.raw,
+                            gate.raw, gmask.raw, sbx_u, mut_u, box)
+
+    box = _box_cutting(ga_node(BoxDomain.cube(4, -10.0, 10.0)).value, 20.0)
+    run("ga:variation", lambda: weighted(t, ga_node(box)), t)
+
+    for variant, roles in (("", 3), (":best1", 2)):
+        name = f"de:variation{variant}"
+        rng, weighted = check(name)
+        t = Tape()
+        X = t.param("X", _away_from(rng, (4, 3), -2, 2))
+        donors = [t.param(f"x{r + 1}", _away_from(rng, (4, 3), -2, 2))
+                  for r in range(roles)]
+        phi = t.param("phi", [[-0.7]])
+        cr = t.param("mask", _away_from(rng, (4, 3), 0.1, 0.9))
+        jrand = rng.integers(0, 3, size=4)
+        best = rng.normal(1, 3) if roles == 2 else None
+
+        def de_node(box, t=t, X=X, donors=donors, phi=phi, cr=cr,
+                    jrand=jrand, best=best):
+            return de_variation(t, X.raw, [v.raw for v in donors], phi.raw,
+                                cr.raw, jrand, box, best)
+
+        box = _box_cutting(de_node(BoxDomain.cube(3, -10.0, 10.0)).value,
+                           20.0)
+        run(name, lambda de_node=de_node, box=box, weighted=weighted:
+            weighted(t, de_node(box)), t)
+
+    rng, weighted = check("pso:move")
+    t = Tape()
+    X = t.param("X", _away_from(rng, (3, 4), -2, 2))
+    omega = t.param("omega", _away_from(rng, (3, 1), 0.3, 0.9))
+    c1 = t.param("c1", _away_from(rng, (3, 1), 1.0, 2.0))
+    c2 = t.param("c2", _away_from(rng, (3, 1), 1.0, 2.0))
+    V, pbest = rng.normal(3, 4), rng.normal(3, 4)
+    r1, r2, gbest = rng.uniform(3, 4), rng.uniform(3, 4), rng.normal(1, 4)
+
+    def pso_node(vmax, box):
+        return pso_move(t, X.raw, omega.raw, c1.raw, c2.raw, V, r1, r2,
+                        pbest, gbest, vmax, box)
+
+    # the velocity clamp cuts one row per coordinate too
+    wide = BoxDomain.cube(4, -10.0, 10.0)
+    vmax = _box_cutting(np.abs(pso_node(np.full(4, 1e6), wide)[1]), 20.0).upper
+    box = _box_cutting(pso_node(vmax, wide)[0].value, 20.0)
+    run("pso:move", lambda: weighted(t, pso_node(vmax, box)[0]), t)
 
     return results
 

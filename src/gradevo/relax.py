@@ -16,9 +16,14 @@ algorithms (the CMA-ES Gaussian sample, mean + sigma * L z, is
 Noise enters as plain constants, so gradients flow only through the
 distribution parameters (the pathwise estimator). Both samplers take the
 uniform draws ``u``, of the output's shape, from the caller, so frozen-noise
-gradient checks and the classical-equivalence tests pass their own. The
-scaled logits join the noise through plain ``Tape.add``, so a scalar, row,
-column or full-shape logit broadcasts onto the draws by the tape's one rule.
+gradient checks and the classical-equivalence tests pass their own. Each
+sampler records one tape node whose vjp is the closed-form Concrete one
+(Jang et al., ICLR 2017; Maddison et al., ICLR 2017): s (1 - s) / tau for
+the sigmoid, s (g - (g . s)) / tau per row for the softmax. The hard
+forward sits inside the same node and keeps the soft vjp, which makes it
+the straight-through estimator. A scalar, row, column or full-shape
+``gumbel_sigmoid`` logit broadcasts onto the draws by the tape's one rule,
+and its gradient is summed back over the stretched axes.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import Tape, Var
+from .tape import Tape, Var, _as2d, _reduce_to, _sigmoid, _stretches_onto
 
 _UCLIP = 1e-12
 
@@ -133,17 +138,25 @@ def gumbel_sigmoid(tape: Tape, alpha: Var, tau: float = 1.0, *,
 
     Returns soft values in (0, 1), or with ``hard`` a straight-through mask
     whose forward entries are exactly 0.0 or 1.0 (threshold soft > 0.5).
+    One tape node; its vjp, soft (1 - soft) / tau summed onto the shape of
+    ``alpha``, is the soft one for either forward.
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
     u = np.clip(np.asarray(u, dtype=np.float64), _UCLIP, 1.0 - _UCLIP)
-    noise_c = tape.constant(logistic_noise(u) / tau)
-    s = tape.add(noise_c, tape.mul(alpha, tape.constant([[1.0 / tau]])))
-    soft = tape.sigmoid(s)
-    if not hard:
-        return soft
-    hard_vals = (soft.value > 0.5).astype(np.float64)
-    return tape.straight_through(tape.constant(hard_vals), soft)
+    noise = _as2d(logistic_noise(u) / tau)
+    shape = alpha.shape
+    if not _stretches_onto(shape, noise.shape):
+        raise ValueError(f"alpha has shape {shape}, which does not "
+                         f"broadcast onto u's {noise.shape}")
+    inv_tau = 1.0 / tau
+    soft = _sigmoid(noise + alpha.value * inv_tau)
+
+    def vjp(g):
+        return (_reduce_to(g * soft * (1.0 - soft), shape) * inv_tau,)
+
+    value = (soft > 0.5).astype(np.float64) if hard else soft
+    return tape._record("gumbel_sigmoid", value, (alpha,), vjp)
 
 
 def gumbel_softmax(tape: Tape, logits: Var, tau: float = 1.0, *,
@@ -154,7 +167,9 @@ def gumbel_softmax(tape: Tape, logits: Var, tau: float = 1.0, *,
     independent rows, each a point on the simplex. ``forbid`` is an
     optional boolean (rows, N) mask of categories forced to exactly zero
     weight (used to keep an individual from selecting itself). With
-    ``hard`` the forward is the one-hot argmax, straight-through.
+    ``hard`` the forward is the one-hot argmax, straight-through. One tape
+    node; its vjp is the softmax one, s (g - (g . s)) / tau per row,
+    summed over the rows, for either forward.
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -175,15 +190,22 @@ def gumbel_softmax(tape: Tape, logits: Var, tau: float = 1.0, *,
     # leaves gradients untouched (softmax shift invariance)
     total = g + logits.value
     shift = total.max(axis=1, keepdims=True)
-    noise_c = tape.constant((g - shift) / tau)
-    a_scaled = tape.mul(logits, tape.constant([[1.0 / tau]]))
-    s = tape.add(noise_c, a_scaled)
-    e = tape.exp(s)
-    denom = tape.row_sum(e)
-    soft = tape.mul(e, tape.powc(denom, -1.0))
+    inv_tau = 1.0 / tau
+    e = np.exp((g - shift) / tau + logits.value * inv_tau)
+    denom = e.sum(axis=1, keepdims=True)
+    recip = np.power(denom, -1.0)
+    soft = e * recip
+    shape = logits.shape
+
+    def vjp(gy):
+        # the rounding of the chain e * (1 / sum e): the quotient's term
+        # first, then the sum's, each as its own product
+        gd = _reduce_to(gy * e, recip.shape) * -1.0 * np.power(denom, -2.0)
+        ge = gy * recip + gd
+        return (_reduce_to(ge * e, shape) * inv_tau,)
+
     if not hard:
-        return soft
-    winners = np.argmax(soft.value, axis=1)
+        return tape._record("gumbel_softmax", soft, (logits,), vjp)
     onehot = np.zeros((rows, n))
-    onehot[np.arange(rows), winners] = 1.0
-    return tape.straight_through(tape.constant(onehot), soft)
+    onehot[np.arange(rows), np.argmax(soft, axis=1)] = 1.0
+    return tape._record("gumbel_softmax", onehot, (logits,), vjp)

@@ -13,7 +13,7 @@ records no vjp and no parents, and an op's vjp computes only the parent
 gradients whose parent needs one, returning None for the others. Constants
 and everything computed from constants alone keep ``grad`` None.
 
-Binary elementwise ops (``add``, ``sub``, ``mul``, ``pow``) follow one
+Binary elementwise ops (``add``, ``sub``, ``mul``) follow one
 broadcasting rule: one operand may be stretched onto the other's shape along
 its axes of length 1 (a (1, 1) scalar, a (1, m) row or an (n, 1) column
 against (n, m)), and its gradient is summed back over the stretched axes.
@@ -22,8 +22,12 @@ The result always has one operand's shape, so an outer broadcast such as
 
 A composite function with a hand-written vjp records itself as one node
 through ``Tape._record``: the wine MLP loss (``WineProblem.eval_pop``),
-each benchmark function (``BenchmarkProblem.eval_pop``) and the CMA-ES
-sample (``diffevo.cma_sample``).
+each benchmark function (``BenchmarkProblem.eval_pop``), the two relaxed
+samplers (``relax.gumbel_softmax`` and ``relax.gumbel_sigmoid``), the
+CMA-ES sample (``diffevo.cma_sample``) and the GA, DE and PSO variation
+steps (``diffevo.ga_variation``, ``de_variation`` and ``pso_move``). Such
+a vjp may return every parent's gradient; ``_record`` drops the ones whose
+parent no param reaches.
 
 Trainable leaves are created through :meth:`Tape.param` and survive
 :meth:`Tape.reset`, which drops every other node so the next generation can
@@ -54,8 +58,8 @@ def _is_scalar(a: Array) -> bool:
 
 def _sigmoid(x):
     # stable two-branch logistic
-    return np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _reduce_to(g: Array, shape) -> Array:
@@ -70,6 +74,12 @@ def _reduce_to(g: Array, shape) -> Array:
 def _stretches_onto(s, t) -> bool:
     # shape s broadcasts onto shape t without changing t
     return all(n == m or n == 1 for n, m in zip(s, t))
+
+
+def _only_needed(vjp, need):
+    def masked(g):
+        return tuple(pg if n else None for pg, n in zip(vjp(g), need))
+    return masked
 
 
 class Var:
@@ -107,21 +117,6 @@ class Var:
     def __repr__(self):
         return f"Var(nid={self.nid}, op={self.op!r}, shape={self.shape})"
 
-    # operator sugar; floats wrap into constant scalars
-    def _coerce(self, other) -> "Var":
-        if isinstance(other, Var):
-            return other
-        return self.tape.constant(np.array([[float(other)]]))
-
-    def __add__(self, other):
-        return self.tape.add(self, self._coerce(other))
-
-    def __sub__(self, other):
-        return self.tape.sub(self, self._coerce(other))
-
-    def __rsub__(self, other):
-        return self.tape.sub(self._coerce(other), self)
-
 
 class Param:
     """A named trainable leaf; ``raw`` is its on-tape Var."""
@@ -143,8 +138,13 @@ class Tape:
     # ------------------------------------------------------------------
 
     def _record(self, op, value, parents=(), vjp=None) -> Var:
-        # a node no param reaches keeps neither its parents nor its vjp
-        if any(p.needs_grad for p in parents):
+        # a node no param reaches keeps neither its parents nor its vjp, and
+        # a parent no param reaches takes no gradient from a composite vjp
+        # that computes them all
+        need = [p.needs_grad for p in parents]
+        if any(need):
+            if not all(need):
+                vjp = _only_needed(vjp, need)
             v = Var(self, len(self.nodes), op, value,
                     tuple(p.nid for p in parents), vjp, True)
         else:
@@ -208,57 +208,6 @@ class Tape:
                     _reduce_to(g * av, bv.shape) if nb else None)
 
         return self._record("mul", av * bv, (a, b), vjp)
-
-    def pow(self, a: Var, b: Var) -> Var:
-        """a ** b with a Var exponent. Requires base >= 0.
-
-        d/da = b * a**(b-1); d/db = a**b * log(a) where a > 0, zero at a == 0.
-        """
-        self._check_binary(a, b, "pow")
-        if np.any(a.value < 0.0):
-            raise ValueError("pow: negative base with Var exponent")
-        av, bv = a.value, b.value
-        na, nb = a.needs_grad, b.needs_grad
-        out = np.power(av, bv)
-
-        def vjp(g):
-            da = db = None
-            if na:
-                da = _reduce_to(g * bv * np.power(av, bv - 1.0), av.shape)
-            if nb:
-                safe = np.where(av > 0.0, av, 1.0)
-                db = _reduce_to(g * out * np.where(av > 0.0, np.log(safe), 0.0),
-                                bv.shape)
-            return da, db
-
-        return self._record("pow", out, (a, b), vjp)
-
-    def powc(self, a: Var, exponent: float) -> Var:
-        """a ** c for a constant exponent; negative bases need integer c."""
-        c = float(exponent)
-        if np.any(a.value < 0.0) and c != int(c):
-            raise ValueError("powc: negative base with non-integer exponent")
-        av = a.value
-        out = np.power(av, c)
-
-        def vjp(g):
-            return (g * c * np.power(av, c - 1.0),)
-
-        return self._record("powc", out, (a,), vjp)
-
-    # ------------------------------------------------------------------
-    # elementwise unary ops
-    # ------------------------------------------------------------------
-
-    def exp(self, a: Var) -> Var:
-        out = np.exp(a.value)
-        return self._record("exp", out, (a,), lambda g: (g * out,))
-
-    def sigmoid(self, a: Var) -> Var:
-        out = _sigmoid(a.value)
-        return self._record(
-            "sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),)
-        )
 
     # ------------------------------------------------------------------
     # reductions
@@ -340,19 +289,6 @@ class Tape:
             return (g * inside,)
 
         return self._record("clamp", np.clip(av, lov, hiv), (a,), vjp)
-
-    def straight_through(self, hard, soft: Var) -> Var:
-        """Forward the hard values, backpropagate as if they were ``soft``."""
-        hv = hard.value if isinstance(hard, Var) else _as2d(hard)
-        if hv.shape != soft.shape:
-            raise ValueError(
-                f"straight_through: hard {hv.shape} vs soft {soft.shape}"
-            )
-
-        def vjp(g):
-            return (g,)
-
-        return self._record("straight_through", hv.copy(), (soft,), vjp)
 
     # ------------------------------------------------------------------
     # backward / lifecycle
