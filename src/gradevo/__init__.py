@@ -6,7 +6,7 @@ loop learn the strategy parameters from the optimization loss itself.
 """
 
 from .tape import Param, Tape, Var
-from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax, logistic_noise
+from .relax import Rng, gumbel_sigmoid, gumbel_softmax, logistic_noise
 from .problems import BenchmarkProblem, BoxDomain, Problem, benchmark_names, make_problem
 from .wine import MlpSpec, WineProblem, load_wine, noisy_targets, write_synthetic_wine
 from .classic import (
@@ -17,7 +17,7 @@ from .classic import (
     cma_constants,
     tournament_select,
 )
-from .diffevo import ALGORITHMS, DiffCmaes, DiffConfig, DiffDe, DiffGa, DiffPso
+from .diffevo import ALGORITHMS, DiffCmaes, DiffDe, DiffGa, DiffPso
 from .outer import Adam, PlateauScheduler, RunRecord, run_loop
 from .gradcheck import CheckResult, fd_check, generation_checks, op_checks, run_all
 from .plots import emit_boxplot_svg, emit_convergence_svg, quartiles, summary_stats
@@ -47,7 +47,6 @@ __all__ = [
     "ClassicGa",
     "ClassicPso",
     "DiffCmaes",
-    "DiffConfig",
     "DiffDe",
     "DiffGa",
     "DiffPso",
@@ -56,7 +55,6 @@ __all__ = [
     "Param",
     "PlateauScheduler",
     "Problem",
-    "RelaxConfig",
     "Rng",
     "RunRecord",
     "Tape",

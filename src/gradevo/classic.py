@@ -468,8 +468,8 @@ class ClassicDe(Population):
     Mutation variants: "rand1" (x_r1 + F (x_r2 - x_r3)) and "best1"
     (current-to-best/1: x_i + F (x_best - x_i) + F (x_r1 - x_r2)). Trials
     clamp to the box; a slot is replaced when the trial is no worse, so
-    per-slot fitness never worsens. No extra elitism: greedy replacement
-    already preserves the best.
+    per-slot fitness never worsens. The best point is not injected:
+    greedy replacement already preserves it.
     """
 
     name = "de"

@@ -14,8 +14,14 @@ stages candidates, the caller runs ``backward`` and an optimizer step, and
 ``update_state(optimizer)`` commits. The commit rule is uniform: a trainable
 slot with a staged candidate becomes candidate value plus the optimizer's
 displacement for that slot; slots without a candidate keep their stepped
-values. With learning rate zero every displacement vanishes and the forward
-pass reduces exactly to the classical algorithm.
+values. With learning rate zero every displacement vanishes, and then:
+
+* ``pso-diff`` and ``cmaes-diff`` are classical PSO and CMA-ES;
+* ``de-diff`` with hard masks and hard selection is classical DE under
+  shared noise, but from its own Gumbel rows two donor roles can pick the
+  same parent, which classical DE never does;
+* ``ga-diff`` is not classical GA yet: its parent selection ignores
+  fitness, where ``ClassicGa`` runs a tournament.
 
 Each variation step is one tape node with a hand-written vjp: the two
 relaxed samplers of ``relax``, ``pso_move`` (inertia, both pulls and both
@@ -33,7 +39,6 @@ the graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +55,7 @@ from .classic import (
 # diffevo.cholesky_with_jitter by name
 from .classic import cholesky_with_jitter  # noqa: F401
 from .problems import Problem
-from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
+from .relax import Rng, gumbel_sigmoid, gumbel_softmax
 from .tape import Tape, Var, _reduce_to, _sigmoid
 
 
@@ -65,41 +70,26 @@ def check_dim(algo: str, dim: int) -> None:
         raise ValueError(f"ga-diff needs at least 2 dimensions, got {dim}")
 
 
-@dataclass
-class DiffConfig:
-    """Knobs shared by the four differentiable algorithms.
+class DiffAlgorithm(Population):
+    """Shared plumbing: tape, staging and the generation loss.
 
     ``loss`` picks the generation loss: "best" routes the gradient through
     the single best candidate, "mean" spreads it over the whole batch.
-    ``relax`` carries the relaxation temperature and the soft/hard switches.
-    ``elitism`` controls the explicit best-individual injection in GA and DE.
     """
-
-    loss: str = "best"
-    relax: RelaxConfig = None
-    elitism: bool = True
-
-    def __post_init__(self):
-        if self.loss not in ("best", "mean"):
-            raise ValueError(f"loss must be 'best' or 'mean', got {self.loss!r}")
-        if self.relax is None:
-            self.relax = RelaxConfig()
-
-
-class DiffAlgorithm(Population):
-    """Shared plumbing: tape and staging."""
 
     name = "diff"
 
     def __init__(self, problem: Problem, pop_size: int, rng: Rng,
-                 cfg: DiffConfig = None):
+                 loss: str = "best"):
+        if loss not in ("best", "mean"):
+            raise ValueError(f"loss must be 'best' or 'mean', got {loss!r}")
         super().__init__(problem, pop_size, rng)
-        self.cfg = cfg if cfg is not None else DiffConfig()
+        self.loss = loss
         self.tape = Tape()
         self._staged = None
 
     def _loss_from(self, fit: Var) -> Var:
-        if self.cfg.loss == "mean":
+        if self.loss == "mean":
             return self.tape.mean(fit)
         loss, _ = self.tape.min_with_index(fit)
         return loss
@@ -107,7 +97,7 @@ class DiffAlgorithm(Population):
     def _delta(self, optimizer, name: str, like: np.ndarray) -> np.ndarray:
         if optimizer is None:
             return np.zeros_like(like)
-        return optimizer.delta(name, like.shape)
+        return optimizer.delta(name)
 
     def current_best(self) -> float:
         """Best-so-far including the staged (not yet committed) candidates."""
@@ -132,8 +122,8 @@ class DiffPso(DiffAlgorithm):
 
     name = "pso-diff"
 
-    def __init__(self, problem, pop_size, rng, cfg=None, init=None):
-        super().__init__(problem, pop_size, rng, cfg)
+    def __init__(self, problem, pop_size, rng, loss="best", init=None):
+        super().__init__(problem, pop_size, rng, loss)
         n, d = self.pop_size, problem.dim
         x0, self.pfit = self._first_population(init)
         self.pX = self.tape.param("X", x0)
@@ -195,14 +185,21 @@ class DiffGa(DiffAlgorithm):
     mutation gates through a logit vector in R^D. The crossover gate blends
     the SBX child with the first parent; mutation adds its offset through
     the (relaxed) gate mask. Each starts at ``ClassicGa``'s constants and
-    its mutation rate 1/d.
+    its mutation rate 1/d. ``tau`` is the temperature of every relaxed
+    draw, ``hard_masks`` makes both gates straight-through 0/1 and
+    ``hard_selection`` the parent picks one-hot. As in ``ClassicGa``, the
+    best point so far replaces the worst child when every child is worse.
     """
 
     name = "ga-diff"
 
-    def __init__(self, problem, pop_size, rng, cfg=None, init=None):
+    def __init__(self, problem, pop_size, rng, loss="best", tau=1.0,
+                 hard_masks=True, hard_selection=False, init=None):
         check_dim(self.name, problem.dim)
-        super().__init__(problem, pop_size, rng, cfg)
+        super().__init__(problem, pop_size, rng, loss)
+        self.tau = tau
+        self.hard_masks = hard_masks
+        self.hard_selection = hard_selection
         n, d = self.pop_size, problem.dim
         x0, self.fit = self._first_population(init)
         self.pX = self.tape.param("X", x0)
@@ -242,19 +239,18 @@ class DiffGa(DiffAlgorithm):
         if noise is None:
             noise = self.draw_noise()
         t = self.tape
-        rc = self.cfg.relax
         X = self.pX.raw
 
-        s1 = gumbel_softmax(t, self.p_sel_logits.raw, rc.tau,
-                            u=noise["sel_u1"], hard=rc.hard_selection)
-        s2 = gumbel_softmax(t, self.p_sel_logits.raw, rc.tau,
-                            u=noise["sel_u2"], hard=rc.hard_selection)
+        s1 = gumbel_softmax(t, self.p_sel_logits.raw, self.tau,
+                            u=noise["sel_u1"], hard=self.hard_selection)
+        s2 = gumbel_softmax(t, self.p_sel_logits.raw, self.tau,
+                            u=noise["sel_u2"], hard=self.hard_selection)
         P1 = t.matmul(s1, X)
         P2 = t.matmul(s2, X)
-        gate = gumbel_sigmoid(t, self.p_cx_logit.raw, rc.tau, u=noise["cx_u"],
-                              hard=rc.hard_masks)
-        mask = gumbel_sigmoid(t, self.p_mut_logits.raw, rc.tau,
-                              u=noise["mut_gate_u"], hard=rc.hard_masks)
+        gate = gumbel_sigmoid(t, self.p_cx_logit.raw, self.tau,
+                              u=noise["cx_u"], hard=self.hard_masks)
+        mask = gumbel_sigmoid(t, self.p_mut_logits.raw, self.tau,
+                              u=noise["mut_gate_u"], hard=self.hard_masks)
         cand = ga_variation(t, P1, P2, self.p_log_eta_c.raw,
                             self.p_log_eta_m.raw, gate, mask, noise["sbx_u"],
                             noise["mut_u"], self.problem.domain)
@@ -272,7 +268,7 @@ class DiffGa(DiffAlgorithm):
         committed = dom.clip(st["x_values"] + self._delta(optimizer, "X", st["x_values"]))
         fit = st["fit"].copy()
         self._track_best(st["x_values"], st["fit"])
-        if self.cfg.elitism and self.best_fitness < fit.min():
+        if self.best_fitness < fit.min():
             w = int(np.argmax(fit))
             committed[w] = self.best_x
             fit[w] = self.best_fitness
@@ -287,19 +283,24 @@ class DiffDe(DiffAlgorithm):
     The scale factor is F = exp(phi); the crossover probability enters as a
     logit driving a Binary-Concrete mask with the usual forced coordinate;
     donors mix parents through Gumbel-Softmax rows (self-index excluded).
-    Replacement is greedy and off the tape: the loss reaches the
-    population through the trial vectors only, and the incumbent best
-    replaces the worst slot when elitism is on. F and CR start at
-    ``ClassicDe``'s constants.
+    ``tau``, ``hard_masks`` and ``hard_selection`` set the relaxed draws as
+    in ``DiffGa``. Replacement is greedy and off the tape: the loss reaches
+    the population through the trial vectors only. As in ``ClassicDe``,
+    the one-to-one replacement alone keeps the best point. F and CR start
+    at ``ClassicDe``'s constants.
     """
 
     name = "de-diff"
 
-    def __init__(self, problem, pop_size, rng, cfg=None,
-                 variant: str = "rand1", init=None):
+    def __init__(self, problem, pop_size, rng, loss="best", tau=1.0,
+                 hard_masks=True, hard_selection=False, variant="rand1",
+                 init=None):
         if variant not in ("rand1", "best1"):
             raise ValueError(f"unknown DE variant {variant!r}")
-        super().__init__(problem, pop_size, rng, cfg)
+        super().__init__(problem, pop_size, rng, loss)
+        self.tau = tau
+        self.hard_masks = hard_masks
+        self.hard_selection = hard_selection
         x0, self.fit = self._first_population(init)
         self.pX = self.tape.param("X", x0)
         self.p_phi = self.tape.param("phi", [[math.log(ClassicDe.f_scale)]])
@@ -328,18 +329,17 @@ class DiffDe(DiffAlgorithm):
         if noise is None:
             noise = self.draw_noise()
         t = self.tape
-        rc = self.cfg.relax
         X = self.pX.raw
 
         forbid = np.eye(self.pop_size, dtype=bool)
         roles = 3 if self.variant == "rand1" else 2
-        donors = [t.matmul(gumbel_softmax(t, self.p_sel_logits.raw, rc.tau,
+        donors = [t.matmul(gumbel_softmax(t, self.p_sel_logits.raw, self.tau,
                                           u=noise[f"sel_u{r + 1}"],
                                           forbid=forbid,
-                                          hard=rc.hard_selection), X)
+                                          hard=self.hard_selection), X)
                   for r in range(roles)]
-        mask = gumbel_sigmoid(t, self.p_cr_logit.raw, rc.tau, u=noise["cross_u"],
-                              hard=rc.hard_masks)
+        mask = gumbel_sigmoid(t, self.p_cr_logit.raw, self.tau,
+                              u=noise["cross_u"], hard=self.hard_masks)
         best = self.best_x if self.variant == "best1" else None
         trial = de_variation(t, X, donors, self.p_phi.raw, mask, noise["jrand"],
                              self.problem.domain, best)
@@ -358,14 +358,9 @@ class DiffDe(DiffAlgorithm):
         st = self._need_staged()
         dom = self.problem.domain
         committed = dom.clip(st["x_values"] + self._delta(optimizer, "X", st["x_values"]))
-        fit = np.where(st["win"], st["fit"], self.fit)
         self._track_best(st["trial_values"], st["fit"])
-        if self.cfg.elitism:
-            w = int(np.argmax(fit))
-            committed[w] = self.best_x
-            fit[w] = self.best_fitness
         self.pX.raw.value = committed
-        self.fit = fit
+        self.fit = np.where(st["win"], st["fit"], self.fit)
         self._staged = None
 
 
@@ -559,17 +554,17 @@ class DiffCmaes(DiffAlgorithm):
     applies the classical update to the stepped sigma and factor at
     detached values of the unclamped draws, with the log-rank weights over
     the penalized fitness and the binary h_sigma gate. Neither is on the
-    tape, so the relaxation settings do not touch them, and at learning
-    rate zero the run is classical CMA-ES. The mean commits as candidate
-    plus its own displacement. The best point tracked is a clamped one
-    with its unpenalised fitness.
+    tape, so at learning rate zero the run is classical CMA-ES. The mean
+    commits as candidate plus its own displacement. The best point tracked
+    is a clamped one with its unpenalised fitness.
     """
 
     name = "cmaes-diff"
 
-    def __init__(self, problem, pop_size=None, rng=None, cfg=None,
+    def __init__(self, problem, pop_size=None, rng=None, loss="best",
                  sigma0: float = None, mean0=None):
-        super().__init__(problem, CmaState.lam(problem.dim, pop_size), rng, cfg)
+        super().__init__(problem, CmaState.lam(problem.dim, pop_size), rng,
+                         loss)
         self.cma = CmaState(problem.domain, self.pop_size)
         mean, sigma, packed = self.cma.start(rng, sigma0, mean0)
         self.p_mu = self.tape.param("mu", mean.reshape(1, -1))

@@ -29,7 +29,6 @@ import numpy as np
 from .classic import CmaState
 from .diffevo import (
     DiffCmaes,
-    DiffConfig,
     DiffDe,
     DiffGa,
     DiffPso,
@@ -39,7 +38,7 @@ from .diffevo import (
     pso_move,
 )
 from .problems import BoxDomain, benchmark_names, make_problem
-from .relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
+from .relax import Rng, gumbel_sigmoid, gumbel_softmax
 from .tape import Param, Tape, Var
 from .wine import MlpSpec, WineProblem
 
@@ -342,8 +341,7 @@ def generation_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     straight-through hard paths are exercised elsewhere; finite differences
     need a smooth forward).
     """
-    soft = DiffConfig(relax=RelaxConfig(tau=1.0, hard_masks=False,
-                                        hard_selection=False))
+    soft = dict(tau=1.0, hard_masks=False, hard_selection=False)
     results = []
 
     def check(name, algo):
@@ -352,16 +350,16 @@ def generation_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
         results.append(CheckResult(f"generation:{name}", max(errs.values())))
 
     p = make_problem("sphere", 2, -5.0, 5.0)
-    check("pso-diff", DiffPso(p, 2, Rng(seed + 1), cfg=soft))
+    check("pso-diff", DiffPso(p, 2, Rng(seed + 1)))
 
     p = make_problem("sphere", 2, -5.0, 5.0)
-    check("ga-diff", DiffGa(p, 3, Rng(seed + 2), cfg=soft))
+    check("ga-diff", DiffGa(p, 3, Rng(seed + 2), **soft))
 
     p = make_problem("sphere", 2, -5.0, 5.0)
-    check("de-diff", DiffDe(p, 4, Rng(seed + 3), cfg=soft))
+    check("de-diff", DiffDe(p, 4, Rng(seed + 3), **soft))
 
     p = make_problem("sphere", 3, -5.0, 5.0)
-    check("cmaes-diff", DiffCmaes(p, 4, Rng(seed + 4), cfg=soft, sigma0=1.0))
+    check("cmaes-diff", DiffCmaes(p, 4, Rng(seed + 4), sigma0=1.0))
 
     return results
 

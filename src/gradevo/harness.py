@@ -25,11 +25,11 @@ import numpy as np
 from . import par
 from .classic import ClassicCmaes, ClassicDe, ClassicGa, ClassicPso, check_pop
 from .diffevo import ALGORITHMS as DIFF_ALGORITHMS
-from .diffevo import DiffConfig, check_dim
+from .diffevo import DiffCmaes, DiffDe, DiffGa, DiffPso, check_dim
 from .outer import Adam, PlateauScheduler, RunError, run_loop
 from .plots import SummaryStats, summary_stats
 from .problems import Problem, benchmark_names, make_problem
-from .relax import RelaxConfig, Rng
+from .relax import Rng
 from .wine import Backprop, WineProblem, write_synthetic_wine
 # importable from here by name: perfbench/spans.py wraps harness.mlp_forward
 from .wine import mlp_forward  # noqa: F401
@@ -80,15 +80,12 @@ class ExperimentConfig:
     tau: float = _flag(1.0, "relaxation temperature (ga-diff and de-diff)")
     sigma0: float = _flag(0.0, "initial CMA-ES step size (0 = default)")
     variant: str = _flag("rand1", "DE mutation variant", ("rand1", "best1"))
-    elitism: bool = True
     hard_masks: bool = _flag(
         True, "straight-through masks instead of soft blends")
     hard_selection: bool = _flag(
         False, "straight-through parent selection instead of soft mixtures "
                "(ga-diff and de-diff)")
     patience: int = _flag(100, "plateau generations before the lr halves")
-    lr_factor: float = 0.5
-    min_lr: float = 1e-5
     lo: float = _flag(-100.0, "box lower bound")
     hi: float = _flag(100.0, "box upper bound")
     wine_data: str = _flag(
@@ -121,10 +118,6 @@ class ExperimentConfig:
             raise ValueError(f"sigma0 must be >= 0, got {self.sigma0}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not 0.0 < self.lr_factor < 1.0:
-            raise ValueError(f"lr_factor must be in (0, 1), got {self.lr_factor}")
-        if self.min_lr < 0.0:
-            raise ValueError(f"min_lr must be >= 0, got {self.min_lr}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.loss not in ("best", "mean"):
@@ -227,18 +220,17 @@ def build_algo(cfg: ExperimentConfig, problem: Problem, seed: int):
         return ClassicDe(problem, cfg.pop, rng, variant=cfg.variant)
     if cfg.algo == "cmaes":
         return ClassicCmaes(problem, cfg.pop, rng, sigma0=cfg.sigma0 or None)
-    dc = DiffConfig(
-        loss=cfg.loss,
-        relax=RelaxConfig(tau=cfg.tau, hard_masks=cfg.hard_masks,
-                          hard_selection=cfg.hard_selection),
-        elitism=cfg.elitism,
-    )
-    cls = DIFF_ALGORITHMS[cfg.algo]
-    if cfg.algo == "de-diff":
-        return cls(problem, cfg.pop, rng, dc, variant=cfg.variant)
+    if cfg.algo == "pso-diff":
+        return DiffPso(problem, cfg.pop, rng, loss=cfg.loss)
     if cfg.algo == "cmaes-diff":
-        return cls(problem, cfg.pop, rng, dc, sigma0=cfg.sigma0 or None)
-    return cls(problem, cfg.pop, rng, dc)
+        return DiffCmaes(problem, cfg.pop, rng, loss=cfg.loss,
+                         sigma0=cfg.sigma0 or None)
+    relax = dict(tau=cfg.tau, hard_masks=cfg.hard_masks,
+                 hard_selection=cfg.hard_selection)
+    if cfg.algo == "de-diff":
+        return DiffDe(problem, cfg.pop, rng, loss=cfg.loss,
+                      variant=cfg.variant, **relax)
+    return DiffGa(problem, cfg.pop, rng, loss=cfg.loss, **relax)
 
 
 def run_single(cfg: ExperimentConfig, run_idx: int):
@@ -249,8 +241,7 @@ def run_single(cfg: ExperimentConfig, run_idx: int):
     if hasattr(algo, "tape"):
         opt = Adam(algo.tape.params, lr=cfg.lr)
     if cfg.algo in DIFF_ALGORITHMS:
-        sched = PlateauScheduler(opt, patience=cfg.patience,
-                                 factor=cfg.lr_factor, min_lr=cfg.min_lr)
+        sched = PlateauScheduler(opt, patience=cfg.patience)
     records, err = run_loop(algo, problem, cfg.budget, opt, sched, run=run_idx)
     return run_idx, records, err
 

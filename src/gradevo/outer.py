@@ -101,13 +101,10 @@ class Adam:
             p.raw.value = new
             self._last_delta[p.name] = delta
 
-    def delta(self, name: str, shape=None) -> np.ndarray:
-        """Displacement applied to ``name`` by the most recent step."""
-        if name in self._last_delta:
-            return self._last_delta[name]
-        if shape is None:
-            raise KeyError(f"no recorded step for parameter {name!r}")
-        return np.zeros(shape)
+    def delta(self, name: str) -> np.ndarray:
+        """Displacement applied to ``name`` by the most recent step;
+        KeyError before the first step."""
+        return self._last_delta[name]
 
 
 class PlateauScheduler:

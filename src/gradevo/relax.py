@@ -28,8 +28,6 @@ and its gradient is summed back over the stretched axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tape import Tape, Var, _as2d, _reduce_to, _sigmoid, _stretches_onto
@@ -105,27 +103,6 @@ class Rng:
         return out if np.ndim(exclude) else out[0]
 
 
-@dataclass
-class RelaxConfig:
-    """Shared knobs for the relaxed operators inside a differentiable run.
-
-    ``tau`` is the relaxation temperature (fixed, not learned).
-    ``hard_masks`` switches Bernoulli gates to straight-through hard 0/1
-    forwards. ``hard_selection`` does the same for categorical parent picks;
-    the default keeps them soft mixtures. The knobs act on the GA and DE
-    selections and gates; ``DiffCmaes`` recombines by log rank whatever
-    they say.
-    """
-
-    tau: float = 1.0
-    hard_masks: bool = True
-    hard_selection: bool = False
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
-
-
 def logistic_noise(u: np.ndarray) -> np.ndarray:
     """log u - log(1 - u): a standard logistic sample from a uniform one."""
     return np.log(u) - np.log1p(-u)
@@ -134,7 +111,8 @@ def logistic_noise(u: np.ndarray) -> np.ndarray:
 def gumbel_sigmoid(tape: Tape, alpha: Var, tau: float = 1.0, *,
                    u: np.ndarray, hard: bool = True) -> Var:
     """Relaxed Bernoulli gates of the shape of the uniform draws ``u``,
-    with logit ``alpha`` a scalar, a row, a column or of that shape.
+    with logit ``alpha`` a scalar, a row, a column or of that shape. Every
+    draw must lie strictly inside (0, 1), as ``Rng.uniform``'s do.
 
     Returns soft values in (0, 1), or with ``hard`` a straight-through mask
     whose forward entries are exactly 0.0 or 1.0 (threshold soft > 0.5).
@@ -143,7 +121,6 @@ def gumbel_sigmoid(tape: Tape, alpha: Var, tau: float = 1.0, *,
     """
     if tau <= 0.0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    u = np.clip(np.asarray(u, dtype=np.float64), _UCLIP, 1.0 - _UCLIP)
     noise = _as2d(logistic_noise(u) / tau)
     shape = alpha.shape
     if not _stretches_onto(shape, noise.shape):
@@ -163,8 +140,9 @@ def gumbel_softmax(tape: Tape, logits: Var, tau: float = 1.0, *,
                    u: np.ndarray, forbid=None, hard: bool = False) -> Var:
     """Relaxed categorical rows over the shared (1, N) ``logits`` row.
 
-    The uniform draws ``u`` are (rows, N), and the result has that many
-    independent rows, each a point on the simplex. ``forbid`` is an
+    The uniform draws ``u`` are (rows, N), each strictly inside (0, 1) as
+    ``Rng.uniform``'s are, and the result has that many independent rows,
+    each a point on the simplex. ``forbid`` is an
     optional boolean (rows, N) mask of categories forced to exactly zero
     weight (used to keep an individual from selecting itself). With
     ``hard`` the forward is the one-hot argmax, straight-through. One tape
@@ -176,7 +154,6 @@ def gumbel_softmax(tape: Tape, logits: Var, tau: float = 1.0, *,
     n = logits.cols
     if n < 2:
         raise ValueError(f"categorical relaxation needs >= 2 categories, got {n}")
-    u = np.clip(np.asarray(u, dtype=np.float64), _UCLIP, 1.0 - _UCLIP)
     if u.ndim != 2 or u.shape[1] != n:
         raise ValueError(f"u has shape {u.shape}, expected (rows, {n})")
     rows = u.shape[0]

@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from gradevo.classic import ClassicCmaes, ClassicDe, ClassicGa, ClassicPso
-from gradevo.diffevo import DiffConfig, DiffDe, DiffPso
+from gradevo.diffevo import DiffDe, DiffPso
 from gradevo.gradcheck import run_all
 from gradevo.harness import ExperimentConfig, run_experiment
 from gradevo.outer import run_loop
 from gradevo.problems import make_problem
-from gradevo.relax import RelaxConfig, Rng, gumbel_sigmoid, gumbel_softmax
+from gradevo.relax import Rng, gumbel_sigmoid, gumbel_softmax
 from gradevo.tape import Tape
 
 
@@ -131,10 +131,8 @@ def test_criterion_4_zero_learning_equivalence():
     rng = Rng(3)
     X0 = make_problem("griewank", d).domain.sample(rng, n)
     cd = ClassicDe(make_problem("griewank", d), pop_size=n, rng=Rng(1), init=X0)
-    cfg = DiffConfig(elitism=False,
-                     relax=RelaxConfig(hard_masks=True, hard_selection=True))
-    dd = DiffDe(make_problem("griewank", d), pop_size=n, rng=Rng(2), cfg=cfg,
-                init=X0)
+    dd = DiffDe(make_problem("griewank", d), pop_size=n, rng=Rng(2),
+                hard_masks=True, hard_selection=True, init=X0)
     worst = 0.0
     for _ in range(3):
         idx = rng.distinct_indices(n, 3, exclude=np.arange(n))

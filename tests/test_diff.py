@@ -18,7 +18,6 @@ from gradevo.classic import (
 )
 from gradevo.diffevo import (
     DiffCmaes,
-    DiffConfig,
     DiffDe,
     DiffGa,
     DiffPso,
@@ -28,7 +27,7 @@ from gradevo.harness import CLASSIC_ALGORITHMS, ExperimentConfig, run_single
 from gradevo import classic
 from gradevo.outer import Adam, run_loop
 from gradevo.problems import benchmark_names, make_problem
-from gradevo.relax import RelaxConfig, Rng
+from gradevo.relax import Rng
 from gradevo.tape import Tape
 
 ALGOS = {
@@ -89,29 +88,31 @@ def test_pso_at_lr_zero_is_classical_pso_bit_for_bit():
         assert diff.best_fitness == ref.best_fitness
 
 
-def test_de_matches_classical_with_shared_noise():
+@pytest.mark.parametrize("variant", ["rand1", "best1"])
+def test_de_matches_classical_with_shared_noise(variant):
     # classical index picks map onto hard Gumbel-Softmax rows by putting the
     # largest uniform at the chosen parent; the crossover draw maps through
     # u -> 1 - u because the hard gate fires at u > 1 - cr instead of u < cr
     prob_c = make_problem("griewank", 3)
     prob_d = make_problem("griewank", 3)
     n, d = 5, 3
+    roles = 3 if variant == "rand1" else 2
     rng = Rng(3)
     X0 = prob_c.domain.sample(rng, n)
-    classic = ClassicDe(prob_c, pop_size=n, rng=Rng(1), init=X0)
-    cfg = DiffConfig(elitism=False,
-                     relax=RelaxConfig(hard_masks=True, hard_selection=True))
-    diff = DiffDe(prob_d, pop_size=n, rng=Rng(2), cfg=cfg, init=X0)
+    classic = ClassicDe(prob_c, pop_size=n, rng=Rng(1), variant=variant,
+                        init=X0)
+    diff = DiffDe(prob_d, pop_size=n, rng=Rng(2), hard_masks=True,
+                  hard_selection=True, variant=variant, init=X0)
 
     for _ in range(3):
-        idx = rng.distinct_indices(n, 3, exclude=np.arange(n))
+        idx = rng.distinct_indices(n, roles, exclude=np.arange(n))
         tau_u = rng.uniform(n, d)
         jrand = rng.integers(0, d, size=n).astype(np.int64)
 
         classic.generation({"idx": idx, "tau": tau_u, "jrand": jrand})
 
         sel = {}
-        for role in range(3):
+        for role in range(roles):
             u = np.full((n, n), 0.01)
             u[np.arange(n), idx[:, role]] = 0.99
             sel[f"sel_u{role + 1}"] = u
@@ -138,29 +139,27 @@ def _diff_step(algo, opt, noise=None):
 ])
 def test_cmaes_hard_limit_matches_classical_with_shared_noise(
         problem, d, pop, sigma0):
-    # the commit recombines by log rank with the binary h_sigma gate
-    # whatever the relaxation settings, so at lr 0 it is the classical one
-    soft = RelaxConfig(tau=0.3, hard_masks=False, hard_selection=False)
-    for cfg in (DiffConfig(), DiffConfig(relax=soft)):
-        rng = Rng(0)
-        mean0 = make_problem(problem, d).domain.sample(rng, 1)[0]
-        ref = ClassicCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(1),
-                           sigma0=sigma0, mean0=mean0)
-        diff = DiffCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(2),
-                         cfg=cfg, sigma0=sigma0, mean0=mean0)
-        opt = Adam(diff.tape.params, lr=0.0)
-        for _ in range(3):
-            noise = {"z": rng.normal(d, pop)}
-            ref.generation(dict(noise))
-            _diff_step(diff, opt, dict(noise))
-            np.testing.assert_allclose(diff.p_mu.raw.value.ravel(), ref.mean,
-                                       rtol=0.0, atol=1e-10)
-            assert abs(diff.hyperparams()["sigma"] - ref.sigma) < 1e-10
-            np.testing.assert_allclose(diff.factor(), ref.factor(),
-                                       rtol=0.0, atol=1e-10)
-            assert abs(diff.best_fitness - ref.best_fitness) < 1e-10
-        # samples clipped: the penalty set a weight from a positive spread
-        assert ref.cma.box.unit != 1.0
+    # the commit recombines by log rank with the binary h_sigma gate, so at
+    # lr 0 it is the classical one
+    rng = Rng(0)
+    mean0 = make_problem(problem, d).domain.sample(rng, 1)[0]
+    ref = ClassicCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(1),
+                       sigma0=sigma0, mean0=mean0)
+    diff = DiffCmaes(make_problem(problem, d), pop_size=pop, rng=Rng(2),
+                     sigma0=sigma0, mean0=mean0)
+    opt = Adam(diff.tape.params, lr=0.0)
+    for _ in range(3):
+        noise = {"z": rng.normal(d, pop)}
+        ref.generation(dict(noise))
+        _diff_step(diff, opt, dict(noise))
+        np.testing.assert_allclose(diff.p_mu.raw.value.ravel(), ref.mean,
+                                   rtol=0.0, atol=1e-10)
+        assert abs(diff.hyperparams()["sigma"] - ref.sigma) < 1e-10
+        np.testing.assert_allclose(diff.factor(), ref.factor(),
+                                   rtol=0.0, atol=1e-10)
+        assert abs(diff.best_fitness - ref.best_fitness) < 1e-10
+    # samples clipped: the penalty set a weight from a positive spread
+    assert ref.cma.box.unit != 1.0
 
 
 def test_cma_sample_node_is_the_classical_draw():
@@ -300,16 +299,17 @@ def test_exp_parameters_stay_positive():
 
 def test_loss_mode_mean_and_best():
     prob = make_problem("sphere", 3)
-    a = DiffPso(prob, pop_size=5, rng=Rng(5), cfg=DiffConfig(loss="best"))
+    a = DiffPso(prob, pop_size=5, rng=Rng(5), loss="best")
     noise = a.draw_noise()
     la = a.generation(dict(noise))
     assert la.item() == float(np.min(a._staged["fit"]))
     prob2 = make_problem("sphere", 3)
-    b = DiffPso(prob2, pop_size=5, rng=Rng(5), cfg=DiffConfig(loss="mean"))
+    b = DiffPso(prob2, pop_size=5, rng=Rng(5), loss="mean")
     lb = b.generation(dict(noise))
     assert abs(lb.item() - float(np.mean(b._staged["fit"]))) < 1e-12
     with pytest.raises(ValueError):
-        DiffConfig(loss="median")
+        DiffPso(make_problem("sphere", 3), pop_size=5, rng=Rng(5),
+                loss="median")
 
 
 def test_replay_determinism():

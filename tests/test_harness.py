@@ -108,11 +108,6 @@ def test_config_validation():
         ExperimentConfig(sigma0=-0.5)
     with pytest.raises(ValueError, match="patience"):
         ExperimentConfig(patience=0)
-    with pytest.raises(ValueError, match="min_lr"):
-        ExperimentConfig(min_lr=-1e-3)
-    for factor in (0.0, 1.0, 1.5):
-        with pytest.raises(ValueError, match="lr_factor"):
-            ExperimentConfig(lr_factor=factor)
     with pytest.raises(ValueError, match="dimension"):
         ExperimentConfig(dim=0)
     with pytest.raises(ValueError, match="rosenbrock"):
@@ -135,13 +130,13 @@ def test_parse_config_file(tmp_path):
         "algo = de   # classical arm\n"
         "dim=7\n"
         "lr = 0.25\n"
-        "elitism = off\n"
+        "hard_masks = off\n"
         "\n"
         "label = my-run\n"
     )
     vals = parse_config_file(str(path))
     assert vals == {"algo": "de", "dim": 7, "lr": 0.25,
-                    "elitism": False, "label": "my-run"}
+                    "hard_masks": False, "label": "my-run"}
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("algo = de\nwhat is this\n")
@@ -150,7 +145,7 @@ def test_parse_config_file(tmp_path):
     bad.write_text("turbo = on\n")
     with pytest.raises(ValueError, match="unknown key 'turbo'"):
         parse_config_file(str(bad))
-    bad.write_text("elitism = sideways\n")
+    bad.write_text("hard_masks = sideways\n")
     with pytest.raises(ValueError, match="boolean"):
         parse_config_file(str(bad))
 
@@ -454,7 +449,7 @@ def test_wine_rejects_the_size_and_box_it_ignores(tmp_path, capsys):
 ])
 def test_cli_rejects_bad_settings_before_any_directory(tmp_path, capsys, argv):
     cfgfile = tmp_path / "exp.cfg"
-    cfgfile.write_text("lr_factor = 1.5\n")
+    cfgfile.write_text("patience = 0\n")
     out = tmp_path / "out"
     argv = [str(cfgfile) if a == "CFG" else a for a in argv]
     # --pop 4 unless the case sets its own, which comes later and wins
