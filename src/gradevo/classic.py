@@ -163,16 +163,24 @@ class BoxPenalty:
         self.unit = 1.0
         self.boost = np.ones(domain.dim)
 
-    def weights(self, sorted_fit: np.ndarray, sigma: float,
-                mean_diag_c: float) -> np.ndarray:
-        """gamma per coordinate, from the generation's fitness in ascending
-        order."""
-        n = sorted_fit.size
-        iqr = sorted_fit[(3 * n - 1) // 4] - sorted_fit[(n - 1) // 4]
+    def penalize(self, X: np.ndarray, Xc: np.ndarray, fit: np.ndarray,
+                 sigma: float, mean_diag_c: float):
+        """The ranking fitness of the draws X (lambda, d), evaluated at
+        their repairs Xc with fitness ``fit`` (lambda,), returned with the
+        gap X - Xc and gamma (d,). When every draw is inside the box it is
+        ``fit`` itself, with two Nones, and the last positive IQR scale is
+        left as it was."""
+        if not np.any(X != Xc):
+            return fit, None, None
+        s = np.sort(fit)
+        n = s.size
+        iqr = s[(3 * n - 1) // 4] - s[(n - 1) // 4]
         unit = iqr / (sigma * sigma * mean_diag_c)
         if unit > 0.0 and math.isfinite(unit):
             self.unit = float(unit)
-        return self.unit * self.boost
+        gamma = self.unit * self.boost
+        gap = X - Xc
+        return fit + (gap * gap * gamma).sum(axis=1), gap, gamma
 
     def observe(self, mean: np.ndarray) -> None:
         """Grow the weights of the coordinates where the new mean is out."""
@@ -563,12 +571,8 @@ class ClassicCmaes(Population):
         X, _ = cma.sample(self.mean, self.sigma, self.L, z)
         Xc = self.problem.domain.clip(X)
         fit = self.problem.eval_array(Xc)
-        sel_fit = fit
-        if np.any(X != Xc):
-            gamma = cma.box.weights(np.sort(fit), self.sigma, cma.mean_diag_c)
-            gap = X - Xc
-            sel_fit = fit + (gap * gap * gamma).sum(axis=1)
-
+        sel_fit, _, _ = cma.box.penalize(X, Xc, fit, self.sigma,
+                                         cma.mean_diag_c)
         self.mean, self.sigma, self.L = cma.commit(
             X, z, cma.rank_weights(sel_fit), self.mean, self.sigma, self.sigma,
             self.L)

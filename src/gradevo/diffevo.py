@@ -27,9 +27,10 @@ Each variation step is one tape node with a hand-written vjp: the two
 relaxed samplers of ``relax``, ``pso_move`` (inertia, both pulls and both
 clamps), ``ga_variation`` (SBX, crossover-gate blend, gated polynomial
 mutation, clamp), ``de_variation`` (rand1 or best1 donor, binomial mask
-with the forced gene, clamp) and ``cma_sample``. A generation of
-``pso-diff`` records 3 nodes beyond its params, ``ga-diff`` 9 and a rand1
-``de-diff`` 10.
+with the forced gene, clamp), ``cma_sample`` and ``box_penalty``, the
+CMA-ES box penalty. A generation of ``pso-diff`` records 3 nodes beyond
+its params, ``ga-diff`` 9, a rand1 ``de-diff`` 10 and ``cmaes-diff`` 5,
+or 4 when no draw leaves the box.
 
 Bookkeeping (personal/global bests, parent fitnesses, CMA evolution paths)
 is refreshed from detached values of the evaluated candidates, never through
@@ -55,7 +56,7 @@ from .classic import (
 # diffevo.cholesky_with_jitter by name
 from .classic import cholesky_with_jitter  # noqa: F401
 from .problems import Problem
-from .relax import Rng, gumbel_sigmoid, gumbel_softmax
+from .relax import Rng, check_tau, gumbel_sigmoid, gumbel_softmax
 from .tape import Tape, Var, _reduce_to, _sigmoid
 
 
@@ -196,6 +197,7 @@ class DiffGa(DiffAlgorithm):
     def __init__(self, problem, pop_size, rng, loss="best", tau=1.0,
                  hard_masks=True, hard_selection=False, init=None):
         check_dim(self.name, problem.dim)
+        check_tau(tau)
         super().__init__(problem, pop_size, rng, loss)
         self.tau = tau
         self.hard_masks = hard_masks
@@ -297,6 +299,7 @@ class DiffDe(DiffAlgorithm):
                  init=None):
         if variant not in ("rand1", "best1"):
             raise ValueError(f"unknown DE variant {variant!r}")
+        check_tau(tau)
         super().__init__(problem, pop_size, rng, loss)
         self.tau = tau
         self.hard_masks = hard_masks
@@ -378,6 +381,26 @@ def cma_sample(tape: Tape, cma: CmaState, mu: Var, log_sigma: Var,
                 pack_lower((G.T * sigma) @ z.T))
 
     return tape._record("cma_sample", X, (mu, log_sigma, packed), vjp)
+
+
+def box_penalty(tape: Tape, cma: CmaState, X: Var, Xc: Var, fit: Var,
+                sigma: float) -> Var:
+    """``BoxPenalty.penalize`` as one tape node over the draws X, their
+    clamp Xc and its fitness column, with gamma held constant; ``fit``
+    itself when every draw is inside the box. Its vjp sums each term as
+    the chain of small tape ops it replaces did, so the gradients are
+    bitwise that chain's."""
+    sel, gap, gamma = cma.box.penalize(X.value, Xc.value, fit.value.ravel(),
+                                       sigma, cma.mean_diag_c)
+    if gap is None:
+        return fit
+
+    def vjp(g):
+        g2 = g * gamma
+        g_gap = g2 * gap + g2 * gap
+        return g_gap, -g_gap, g
+
+    return tape._record("box_penalty", sel.reshape(-1, 1), (X, Xc, fit), vjp)
 
 
 def _clamp(value: np.ndarray, domain):
@@ -544,9 +567,10 @@ class DiffCmaes(DiffAlgorithm):
     steps only the entries that can move; ``factor()`` unpacks it. The
     generation samples x_i = mu + sigma * L z_i, classical CMA-ES's own
     draw, as one tape node (``cma_sample``) and evaluates f at clamp(x_i).
-    The box follows the rule of ``BoxPenalty``:
-    selection and the loss see f(clamp x) + sum_j gamma_j (x_j - clamp(x)_j)^2,
-    with gamma_j = boost_j * IQR(f) / (sigma^2 * mean(diag C)) held constant
+    The box follows the rule of ``BoxPenalty``, recorded as one node
+    (``box_penalty``): selection and the loss see
+    f(clamp x) + sum_j gamma_j (x_j - clamp(x)_j)^2, with
+    gamma_j = boost_j * IQR(f) / (sigma^2 * mean(diag C)) held constant
     on the tape, so the loss differentiates with respect to mu, log(sigma)
     and the packed entries of L through the penalty wherever the clamp
     passes no gradient.
@@ -596,13 +620,7 @@ class DiffCmaes(DiffAlgorithm):
         Xc = t.clamp(Xs, dom.lower, dom.upper)
         fit = self.problem.eval_pop(t, Xc)
         f = fit.value.ravel().copy()
-
-        sel = fit
-        if np.any(Xs.value != Xc.value):
-            gamma = cma.box.weights(np.sort(f), sigma, cma.mean_diag_c)
-            gap = t.sub(Xs, Xc)
-            pen = t.mul(t.mul(gap, gap), t.constant(gamma.reshape(1, -1)))
-            sel = t.add(fit, t.row_sum(pen))
+        sel = box_penalty(t, cma, Xs, Xc, fit, sigma)
 
         self._staged = {
             "x_values": Xc.value.copy(),

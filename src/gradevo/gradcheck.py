@@ -8,14 +8,15 @@ when the true gradient is near zero.
 
 ``op_checks`` covers every differentiable tape operation and every
 composite node: the wine loss, the benchmarks, the two relaxed samplers,
-the CMA-ES sample and the GA, DE and PSO variation steps, at generic random
-points (inputs kept away from kinks and branch boundaries so the finite
-difference is valid). ``generation_checks`` differentiates one full
-generation of each of the four learnable algorithms with frozen noise, run
-in fully soft mode: straight-through estimators deliberately disagree with
-finite differences of their own hard forward, so the FD comparison uses the
-soft graph, and the straight-through identity (hard forward, soft backward)
-is checked separately on the samplers' hard path.
+the CMA-ES sample and box penalty and the GA, DE and PSO variation steps,
+at generic random points (inputs kept away from kinks and branch
+boundaries so the finite difference is valid). ``generation_checks``
+differentiates one full generation of each of the four learnable
+algorithms with frozen noise, run in fully soft mode: straight-through
+estimators deliberately disagree with finite differences of their own hard
+forward, so the FD comparison uses the soft graph, and the straight-through
+identity (hard forward, soft backward) is checked separately on the
+samplers' hard path.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .diffevo import (
     DiffDe,
     DiffGa,
     DiffPso,
+    box_penalty,
     cma_sample,
     de_variation,
     ga_variation,
@@ -55,6 +57,13 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return self.max_err < self.tol
+
+
+def weighted_sum(tape: Tape, v: Var, w: np.ndarray) -> Var:
+    """The scalar sum of v * w for a constant w of v's shape, as one node:
+    the loss reduction of the checks."""
+    return tape._record("weighted_sum", np.array([[(v.value * w).sum()]]),
+                        (v,), lambda g: (g[0, 0] * w,))
 
 
 def _err(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -139,7 +148,7 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
         def weighted(tape, v):
             if v.shape not in frozen:
                 frozen[v.shape] = rng.normal(*v.shape)
-            return tape.sum(tape.mul(v, tape.constant(frozen[v.shape])))
+            return weighted_sum(tape, v, frozen[v.shape])
 
         return rng, weighted
 
@@ -147,35 +156,17 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
         errs = fd_check(build, tape, h=h)
         results.append(CheckResult(name, max(errs.values())))
 
-    # --- binary elementwise, matched shapes and each broadcast
-    for op in ("add", "sub", "mul"):
-        for suffix, shape in (("", (2, 3)), (":scalar", (1, 1)),
-                              (":row", (1, 3)), (":col", (2, 1))):
-            name = f"op:{op}{suffix}"
-            rng, weighted = check(name)
-            t = Tape()
-            a = t.param("a", _away_from(rng, (2, 3), -2, 2))
-            b = t.param("b", _away_from(rng, shape, -2, 2))
-            run(name, lambda t=t, a=a, b=b, op=op, weighted=weighted:
-                weighted(t, getattr(t, op)(a.raw, b.raw)), t)
-
     # --- reductions
-    for op in ("sum", "mean"):
-        rng, _ = check(f"op:{op}")
-        t = Tape()
-        a = t.param("a", _away_from(rng, (3, 4), -2, 2))
-        run(f"op:{op}", lambda t=t, a=a, op=op: getattr(t, op)(a.raw), t)
+    rng, _ = check("op:mean")
+    t = Tape()
+    a = t.param("a", _away_from(rng, (3, 4), -2, 2))
+    run("op:mean", lambda: t.mean(a.raw), t)
 
     rng, _ = check("op:min_with_index")
     t = Tape()
     vals = np.linspace(-2, 2, 12).reshape(3, 4)
     a = t.param("a", vals + 0.01 * rng.normal(3, 4))
     run("op:min_with_index", lambda: t.min_with_index(a.raw)[0], t)
-
-    rng, weighted = check("op:row_sum")
-    t = Tape()
-    a = t.param("a", _away_from(rng, (3, 4), -2, 2))
-    run("op:row_sum", lambda: weighted(t, t.row_sum(a.raw)), t)
 
     # --- linear algebra
     rng, weighted = check("op:matmul")
@@ -222,6 +213,24 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
     run("cma:sample",
         lambda: weighted(t, cma_sample(t, cma, mu.raw, s.raw, L.raw, z)), t)
 
+    # --- the CMA-ES box penalty, d = 3 and lambda = 4: one row per
+    # coordinate outside the box (``_box_cutting``); Xc, the repair, is a
+    # param of its own, so its gradient is checked where a clamp would
+    # zero it; at sigma inf the IQR scale is 0, so gamma stays the drawn
+    # unit times boost on every FD evaluation, held constant as on the tape
+    rng, weighted = check("cma:box_penalty")
+    t = Tape()
+    xv = _away_from(rng, (4, 3), -2, 2)
+    box = _box_cutting(xv, 4.0)
+    X = t.param("X", xv)
+    Xc = t.param("Xc", box.clip(xv))
+    fit = t.param("fit", _away_from(rng, (4, 1), -2, 2))
+    cma = CmaState(box, 4)
+    cma.box.unit = float(_away_from(rng, (1, 1), 0.5, 2)[0, 0])
+    cma.box.boost = _away_from(rng, (1, 3), 1, 3).ravel()
+    run("cma:box_penalty", lambda: weighted(
+        t, box_penalty(t, cma, X.raw, Xc.raw, fit.raw, np.inf)), t)
+
     # --- the relaxed samplers, soft, at tau 0.7: 3 rows of 4 categories
     # (one forbidden per row), and 3 x 4 gates under a scalar, a row and a
     # full-shape logit
@@ -261,7 +270,7 @@ def op_checks(seed: int = 0, h: float = DEFAULT_H) -> list[CheckResult]:
         for hard in (True, False):
             t.reset(); t.zero_grad()
             y = sample(t, a.raw, hard)
-            t.backward(t.sum(t.mul(y, t.constant(w))))
+            t.backward(weighted_sum(t, y, w))
             grads.append(a.raw.grad.copy())
             values.append(y.value)
         if not np.array_equal(values[0], harden(values[1])):

@@ -41,15 +41,15 @@ class Adam:
     the serial formula, so the step is bitwise the same at any pool width.
     """
 
-    def __init__(self, params, lr: float = 0.01, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr: float = 0.01):
         self.params: list[Param] = list(params)
         if lr < 0.0:
             raise ValueError(f"learning rate must be >= 0, got {lr}")
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self._m = {p.name: np.zeros(p.raw.value.shape) for p in self.params}
         self._v = {p.name: np.zeros(p.raw.value.shape) for p in self.params}
@@ -115,18 +115,16 @@ class PlateauScheduler:
     rate never goes below ``min_lr``.
     """
 
+    factor = 0.5
+    tol = 1e-12
+
     def __init__(self, optimizer: Adam, patience: int = 100,
-                 factor: float = 0.5, min_lr: float = 1e-5,
-                 tol: float = 1e-12):
-        if not 0.0 < factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {factor}")
+                 min_lr: float = 1e-5):
         if patience < 1:
             raise ValueError(f"patience must be >= 1, got {patience}")
         self.optimizer = optimizer
         self.patience = int(patience)
-        self.factor = float(factor)
         self.min_lr = float(min_lr)
-        self.tol = float(tol)
         self.best = math.inf
         self.bad = 0
 

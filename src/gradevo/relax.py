@@ -22,8 +22,8 @@ sampler records one tape node whose vjp is the closed-form Concrete one
 the sigmoid, s (g - (g . s)) / tau per row for the softmax. The hard
 forward sits inside the same node and keeps the soft vjp, which makes it
 the straight-through estimator. A scalar, row, column or full-shape
-``gumbel_sigmoid`` logit broadcasts onto the draws by the tape's one rule,
-and its gradient is summed back over the stretched axes.
+``gumbel_sigmoid`` logit is stretched onto the draws along its axes of
+length 1, and its gradient is summed back over the stretched axes.
 """
 
 from __future__ import annotations
@@ -103,6 +103,12 @@ class Rng:
         return out if np.ndim(exclude) else out[0]
 
 
+def check_tau(tau: float) -> None:
+    """Raise ValueError unless the temperature ``tau`` is positive."""
+    if tau <= 0.0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+
+
 def logistic_noise(u: np.ndarray) -> np.ndarray:
     """log u - log(1 - u): a standard logistic sample from a uniform one."""
     return np.log(u) - np.log1p(-u)
@@ -119,8 +125,7 @@ def gumbel_sigmoid(tape: Tape, alpha: Var, tau: float = 1.0, *,
     One tape node; its vjp, soft (1 - soft) / tau summed onto the shape of
     ``alpha``, is the soft one for either forward.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    check_tau(tau)
     noise = _as2d(logistic_noise(u) / tau)
     shape = alpha.shape
     if not _stretches_onto(shape, noise.shape):
@@ -149,8 +154,7 @@ def gumbel_softmax(tape: Tape, logits: Var, tau: float = 1.0, *,
     node; its vjp is the softmax one, s (g - (g . s)) / tau per row,
     summed over the rows, for either forward.
     """
-    if tau <= 0.0:
-        raise ValueError(f"temperature must be positive, got {tau}")
+    check_tau(tau)
     n = logits.cols
     if n < 2:
         raise ValueError(f"categorical relaxation needs >= 2 categories, got {n}")

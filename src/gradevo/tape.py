@@ -13,21 +13,21 @@ records no vjp and no parents, and an op's vjp computes only the parent
 gradients whose parent needs one, returning None for the others. Constants
 and everything computed from constants alone keep ``grad`` None.
 
-Binary elementwise ops (``add``, ``sub``, ``mul``) follow one
-broadcasting rule: one operand may be stretched onto the other's shape along
-its axes of length 1 (a (1, 1) scalar, a (1, m) row or an (n, 1) column
-against (n, m)), and its gradient is summed back over the stretched axes.
-The result always has one operand's shape, so an outer broadcast such as
-(n, 1) with (1, m) raises.
-
-A composite function with a hand-written vjp records itself as one node
+The tape's own ops are the reductions ``mean`` and ``min_with_index``,
+``matmul`` and ``clamp``; ``param`` and ``constant`` make leaves. Every
+other function with a hand-written vjp records itself as one node
 through ``Tape._record``: the wine MLP loss (``WineProblem.eval_pop``),
 each benchmark function (``BenchmarkProblem.eval_pop``), the two relaxed
 samplers (``relax.gumbel_softmax`` and ``relax.gumbel_sigmoid``), the
-CMA-ES sample (``diffevo.cma_sample``) and the GA, DE and PSO variation
-steps (``diffevo.ga_variation``, ``de_variation`` and ``pso_move``). Such
-a vjp may return every parent's gradient; ``_record`` drops the ones whose
-parent no param reaches.
+CMA-ES sample and box penalty (``diffevo.cma_sample`` and
+``box_penalty``), the GA, DE and PSO variation steps
+(``diffevo.ga_variation``, ``de_variation`` and ``pso_move``) and the
+gradient checks' loss (``gradcheck.weighted_sum``). Such a vjp may
+return every parent's gradient; ``_record`` drops the ones whose parent
+no param reaches. ``_stretches_onto`` and ``_reduce_to`` give the
+broadcasting rule of the nodes whose operand may be a scalar, a row or a
+column against a full shape: stretched along its axes of length 1, its
+gradient summed back over them.
 
 Trainable leaves are created through :meth:`Tape.param` and survive
 :meth:`Tape.reset`, which drops every other node so the next generation can
@@ -166,60 +166,8 @@ class Tape:
         return p
 
     # ------------------------------------------------------------------
-    # elementwise binary ops (one operand may broadcast onto the other)
-    # ------------------------------------------------------------------
-
-    def _check_binary(self, a: Var, b: Var, op: str):
-        sa, sb = a.shape, b.shape
-        if sa != sb and not _stretches_onto(sb, sa) and not _stretches_onto(sa, sb):
-            raise ValueError(
-                f"{op}: neither of the shapes {sa} and {sb} broadcasts onto the other"
-            )
-
-    def add(self, a: Var, b: Var) -> Var:
-        self._check_binary(a, b, "add")
-        sa, sb = a.shape, b.shape
-        na, nb = a.needs_grad, b.needs_grad
-
-        def vjp(g):
-            return (_reduce_to(g, sa) if na else None,
-                    _reduce_to(g, sb) if nb else None)
-
-        return self._record("add", a.value + b.value, (a, b), vjp)
-
-    def sub(self, a: Var, b: Var) -> Var:
-        self._check_binary(a, b, "sub")
-        sa, sb = a.shape, b.shape
-        na, nb = a.needs_grad, b.needs_grad
-
-        def vjp(g):
-            return (_reduce_to(g, sa) if na else None,
-                    _reduce_to(-g, sb) if nb else None)
-
-        return self._record("sub", a.value - b.value, (a, b), vjp)
-
-    def mul(self, a: Var, b: Var) -> Var:
-        self._check_binary(a, b, "mul")
-        av, bv = a.value, b.value
-        na, nb = a.needs_grad, b.needs_grad
-
-        def vjp(g):
-            return (_reduce_to(g * bv, av.shape) if na else None,
-                    _reduce_to(g * av, bv.shape) if nb else None)
-
-        return self._record("mul", av * bv, (a, b), vjp)
-
-    # ------------------------------------------------------------------
     # reductions
     # ------------------------------------------------------------------
-
-    def sum(self, a: Var) -> Var:
-        shape = a.shape
-
-        def vjp(g):
-            return (np.full(shape, g[0, 0]),)
-
-        return self._record("sum", np.array([[a.value.sum()]]), (a,), vjp)
 
     def mean(self, a: Var) -> Var:
         shape = a.shape
@@ -248,14 +196,6 @@ class Tape:
             "min_with_index", np.array([[a.value.flat[idx]]]), (a,), vjp
         )
         return out, idx
-
-    def row_sum(self, a: Var) -> Var:
-        cols = a.cols
-
-        def vjp(g):
-            return (np.repeat(g, cols, axis=1),)
-
-        return self._record("row_sum", a.value.sum(axis=1, keepdims=True), (a,), vjp)
 
     # ------------------------------------------------------------------
     # linear algebra

@@ -21,12 +21,14 @@ from gradevo.diffevo import (
     DiffDe,
     DiffGa,
     DiffPso,
+    box_penalty,
     cma_sample,
 )
+from gradevo.gradcheck import weighted_sum
 from gradevo.harness import CLASSIC_ALGORITHMS, ExperimentConfig, run_single
 from gradevo import classic
 from gradevo.outer import Adam, run_loop
-from gradevo.problems import benchmark_names, make_problem
+from gradevo.problems import BoxDomain, benchmark_names, make_problem
 from gradevo.relax import Rng
 from gradevo.tape import Tape
 
@@ -184,7 +186,7 @@ def test_cma_sample_node_is_the_classical_draw():
     assert len(t.nodes) == 4 and X.op == "cma_sample"
     np.testing.assert_array_equal(X.value, X_ref)
     G = g.normal(size=(lam, d))
-    t.backward(t.sum(t.mul(X, t.constant(G))))
+    t.backward(weighted_sum(t, X, G))
     np.testing.assert_allclose(pm.raw.grad, G.sum(axis=0, keepdims=True),
                                rtol=1e-14)
     np.testing.assert_allclose(ps.raw.grad, [[sigma * np.sum(G.T * (L @ z))]],
@@ -417,6 +419,88 @@ def test_cmaes_penalty_gradient_points_into_box():
     assert np.all(grad > 1.0)       # a descent step lowers every coordinate
     # bookkeeping keeps the unpenalised value of the clamped point
     assert algo.current_best() == 30_000.0
+
+
+def _old_penalty_chain(xs, xc, f, W, inside, gamma, loss):
+    """The generation tail the box_penalty node replaced, replayed in
+    numpy: sub(Xs, Xc), mul(gap, gap), mul by constant(gamma), row_sum and
+    add(fit, .), then the loss; the reverse walk adds each node's gradient
+    terms in tape order, down through a linear fitness node (f = Xc W,
+    vjp g Wᵀ) and the clamp. Returns the penalised column and the gradients
+    of Xs, Xc and fit."""
+    gap = xs - xc
+    sq = gap * gap
+    gam = gamma.reshape(1, -1)
+    sel = f + (sq * gam).sum(axis=1, keepdims=True)
+    if loss == "best":
+        g = np.zeros(sel.shape)
+        g.flat[int(np.argmin(sel))] = 1.0
+    else:
+        g = np.full(sel.shape, 1.0 / sel.size)
+    g_sq = np.repeat(g, xs.shape[1], axis=1) * gam
+    g_gap = g_sq * gap
+    g_gap = g_gap + g_sq * gap          # mul(gap, gap): both operands
+    g_xc = -g_gap                       # sub, before the fitness node
+    g_xc = g_xc + g @ W.T
+    g_xs = g_gap + g_xc * inside        # sub, before the clamp
+    return sel, g_xs, g_xc, g
+
+
+@pytest.mark.parametrize("loss", ["best", "mean"])
+def test_box_penalty_node_is_the_old_chain_bit_for_bit(loss):
+    # rows inside the box, outside it and exactly on a face; row 1, out in
+    # two coordinates and on a face in the third, has the lowest fitness,
+    # so the "best" loss reaches the penalty too
+    d, lam, sigma = 3, 5, 0.7
+    g = np.random.default_rng(4)
+    dom = BoxDomain.cube(d, -1.0, 1.0)
+    W = g.normal(size=(d, 1))
+    xs = g.uniform(-0.9, 0.9, size=(lam, d))
+    xs[1] = -np.sign(W.ravel()) * [1.05, 1.0, 1.1]
+    xs[2] = [1.0, -1.0, 0.5]
+    xs[4, 1] = 1.3
+    cma = CmaState(dom, lam)
+    cma.mean_diag_c = 1.9
+    cma.box.boost = np.array([1.0, 1.21, 1.1])
+
+    t = Tape()
+    X = t.param("X", xs)
+    Xc = t.clamp(X.raw, dom.lower, dom.upper)
+    fit = t._record("linear", Xc.value @ W, (Xc,), lambda gf: (gf @ W.T,))
+    sel = box_penalty(t, cma, X.raw, Xc, fit, sigma)
+    assert sel.op == "box_penalty" and len(t.nodes) == 4
+    top = t.min_with_index(sel)[0] if loss == "best" else t.mean(sel)
+    t.backward(top)
+
+    f = Xc.value @ W
+    s = np.sort(f.ravel())
+    gamma = (s[3] - s[1]) / (sigma * sigma * 1.9) * cma.box.boost
+    inside = (xs > -1.0) & (xs < 1.0)
+    want = _old_penalty_chain(xs, dom.clip(xs), f, W, inside, gamma, loss)
+    for got, ref in zip((sel.value, X.raw.grad, Xc.grad, fit.grad), want):
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+    # the penalty reaches Xs where the clamp passes no gradient
+    assert np.all(X.raw.grad[1, [0, 2]] != 0.0)
+
+
+def test_box_penalty_is_fit_itself_inside_the_box():
+    # no draw leaves the box: no node, and the IQR scale keeps its value
+    cma = CmaState(BoxDomain.cube(2, -1.0, 1.0), 4)
+    t = Tape()
+    X = t.param("X", np.full((4, 2), 0.5))
+    fit = t.param("fit", [[1.0], [2.0], [3.0], [4.0]])
+    assert box_penalty(t, cma, X.raw, X.raw, fit.raw, 0.3) is fit.raw
+    assert cma.box.unit == 1.0
+
+
+@pytest.mark.parametrize("cls", [DiffGa, DiffDe])
+def test_nonpositive_tau_is_rejected_before_any_evaluation(cls):
+    prob = make_problem("sphere", 3)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            cls(prob, 6, Rng(0), tau=tau)
+    assert prob.n_evals == 0
 
 
 # --- CMA-ES factor commit ------------------------------------------------------

@@ -105,7 +105,7 @@ def test_adam_validates_learning_rate_and_delta_lookup():
 
 def test_scheduler_halves_on_plateau_and_respects_floor():
     opt = Adam([], lr=0.8)
-    sched = PlateauScheduler(opt, patience=3, factor=0.5, min_lr=0.15)
+    sched = PlateauScheduler(opt, patience=3, min_lr=0.15)
     sched.step(10.0)         # baseline: first metric always improves on inf
     for _ in range(3):
         sched.step(10.0)
@@ -115,8 +115,6 @@ def test_scheduler_halves_on_plateau_and_respects_floor():
     for _ in range(6):
         sched.step(5.0)
     assert opt.lr == 0.15    # 0.4 -> 0.2 -> floor, not 0.1
-    with pytest.raises(ValueError):
-        PlateauScheduler(opt, factor=1.5)
     with pytest.raises(ValueError):
         PlateauScheduler(opt, patience=0)
 
@@ -183,7 +181,7 @@ def test_run_loop_scheduler_decays_lr_on_stall():
     prob = make_problem("sphere", 2)
     algo = DiffPso(prob, pop_size=5, rng=Rng(2))
     opt = Adam(algo.tape.params, lr=0.02)
-    sched = PlateauScheduler(opt, patience=5, factor=0.5, min_lr=1e-6)
+    sched = PlateauScheduler(opt, patience=5, min_lr=1e-6)
     records, err = run_loop(algo, prob, max_evals=1500,
                             optimizer=opt, scheduler=sched)
     assert err is None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradevo import kernels
+from gradevo.gradcheck import weighted_sum
 from gradevo.problems import BoxDomain, benchmark_names, make_problem
 from gradevo.relax import Rng
 from gradevo.tape import Tape
@@ -57,7 +58,7 @@ def test_tape_gradients_match_finite_differences():
         x0 = rng.uniform(-2.0, 2.0, size=(1, 5))
         t = Tape()
         px = t.param("x", x0)
-        loss = t.sum(p.eval_pop(t, px.raw))
+        loss = weighted_sum(t, p.eval_pop(t, px.raw), np.ones((1, 1)))
         t.backward(loss)
         g = px.raw.grad.copy()
         for j in range(5):
@@ -75,7 +76,7 @@ def test_ackley_gradient_at_the_origin_is_zero():
     p = make_problem("ackley", 3)
     t = Tape()
     px = t.param("x", [[0.0, 0.0, 0.0], [0.5, -1.0, 2.0]])
-    t.backward(t.sum(p.eval_pop(t, px.raw)))
+    t.backward(weighted_sum(t, p.eval_pop(t, px.raw), np.ones((2, 1))))
     g = px.raw.grad
     assert np.all(np.isfinite(g))
     np.testing.assert_array_equal(g[0], 0.0)
@@ -107,7 +108,7 @@ def test_vjp_under_a_one_hot_gradient_is_the_dense_product():
             t = Tape()
             px = t.param("x", X)
             fit = p.eval_pop(t, px.raw)
-            t.backward(t.sum(t.mul(fit, t.constant(g))))
+            t.backward(weighted_sum(t, fit, g))
             dense = g * getattr(kernels, f"{name}_grad")(X)
             np.testing.assert_array_equal(px.raw.grad, dense,
                                           err_msg=f"{name} row {hot}")
@@ -128,7 +129,7 @@ def test_the_grad_kernel_sees_only_the_reached_rows(monkeypatch):
     px = t.param("x", X)
     g = np.zeros((10, 1))
     g[[2, 5]] = [[1.0], [-0.5]]
-    t.backward(t.sum(t.mul(p.eval_pop(t, px.raw), t.constant(g))))
+    t.backward(weighted_sum(t, p.eval_pop(t, px.raw), g))
     assert len(seen) == 1
     np.testing.assert_array_equal(seen[0], X[[2, 5]])
     assert not np.any(px.raw.grad[[0, 1, 3, 4, 6, 7, 8, 9]])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gradevo.gradcheck import weighted_sum
 from gradevo.relax import Rng, gumbel_sigmoid, gumbel_softmax, logistic_noise
 from gradevo.tape import Tape
 
@@ -37,7 +38,7 @@ def test_gumbel_sigmoid_gradient_with_frozen_noise():
     tau = 0.7
     p = t.param("alpha", [[0.25]])
     y = gumbel_sigmoid(t, p.raw, tau=tau, u=u, hard=False)
-    t.backward(t.sum(y))
+    t.backward(weighted_sum(t, y, np.ones(y.shape)))
     soft = y.value
     expect = (soft * (1 - soft) / tau).sum()
     np.testing.assert_allclose(p.raw.grad[0, 0], expect, rtol=1e-12)
@@ -49,7 +50,7 @@ def test_gumbel_sigmoid_hard_straight_through_keeps_soft_gradient():
     p = t.param("alpha", [[0.25]])
     y = gumbel_sigmoid(t, p.raw, tau=1.0, u=u, hard=True)
     assert set(np.unique(y.value)) <= {0.0, 1.0}
-    t.backward(t.sum(y))
+    t.backward(weighted_sum(t, y, np.ones(y.shape)))
     soft = 1.0 / (1.0 + np.exp(-(0.25 + logistic_noise(u))))
     np.testing.assert_allclose(p.raw.grad[0, 0], (soft * (1 - soft)).sum(), rtol=1e-12)
 
@@ -117,8 +118,8 @@ def test_gumbel_softmax_gradient_with_frozen_noise():
         t = Tape()
         p = t.param("s", s)
         y = gumbel_softmax(t, p.raw, tau=0.9, u=u, hard=False)
-        w = t.constant(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.25]]))
-        loss = t.sum(t.mul(y, w))
+        w = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 0.25]])
+        loss = weighted_sum(t, y, w)
         return t, p, loss
 
     t, p, loss = value(s0)

@@ -5,7 +5,8 @@ import pytest
 
 from gradevo import cli, gradcheck
 from gradevo.classic import pack_lower, unpack_lower
-from gradevo.gradcheck import op_checks
+from gradevo.gradcheck import op_checks, weighted_sum
+from gradevo.relax import Rng, gumbel_sigmoid
 from gradevo.tape import Tape, Var, _sigmoid
 
 
@@ -31,11 +32,12 @@ def test_min_with_index_tie_takes_lowest_index():
 
 def test_product_rule_x_exp_x():
     # d/dx x exp x = exp x + x exp x, with exp a composite node of its own
+    # (recorded as a column) and the sum of products a matmul of the two
     t = Tape()
     p = t.param("x", [[0.7, -1.3, 2.0]])
     out = np.exp(p.raw.value)
-    e = t._record("exp", out, (p.raw,), lambda g: (g * out,))
-    y = t.sum(t.mul(p.raw, e))
+    e = t._record("exp_col", out.T, (p.raw,), lambda g: (g.T * out,))
+    y = t.matmul(p.raw, e)
     t.backward(y)
     x = np.array([[0.7, -1.3, 2.0]])
     expect = np.exp(x) + x * np.exp(x)
@@ -46,7 +48,7 @@ def test_linear_form_gradient_is_coefficients():
     t = Tape()
     c = np.array([[2.0, -3.0, 0.5]])
     p = t.param("x", [[1.0, 1.0, 1.0]])
-    y = t.sum(t.mul(t.constant(c), p.raw))
+    y = weighted_sum(t, p.raw, c)
     t.backward(y)
     np.testing.assert_array_equal(grad_of(t, p), c)
 
@@ -54,7 +56,7 @@ def test_linear_form_gradient_is_coefficients():
 def test_clamp_gradient_strictly_inside_only():
     t = Tape()
     p = t.param("x", [[-2.0, -1.0, 0.0, 1.0, 2.0]])
-    y = t.sum(t.clamp(p.raw, -1.0, 1.0))
+    y = weighted_sum(t, t.clamp(p.raw, -1.0, 1.0), np.ones((1, 5)))
     t.backward(y)
     # endpoints count as outside: only the interior coordinate passes
     np.testing.assert_array_equal(grad_of(t, p), [[0.0, 0.0, 1.0, 0.0, 0.0]])
@@ -69,7 +71,7 @@ def test_clamp_forward_values():
 def test_two_backwards_double_the_gradient():
     t = Tape()
     p = t.param("x", [[2.0]])
-    y = t.mul(p.raw, p.raw)
+    y = t.matmul(p.raw, p.raw)
     t.backward(y)
     t.backward(y)
     assert grad_of(t, p)[0, 0] == 8.0  # 2 * (2x at x=2)
@@ -83,59 +85,44 @@ def test_matmul_gradients():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     B = np.array([[0.5, -1.0], [2.0, 0.25]])
     pa, pb = t.param("A", A), t.param("B", B)
-    y = t.sum(t.matmul(pa.raw, pb.raw))
-    t.backward(y)
     ones = np.ones((2, 2))
+    y = weighted_sum(t, t.matmul(pa.raw, pb.raw), ones)
+    t.backward(y)
     np.testing.assert_allclose(grad_of(t, pa), ones @ B.T)
     np.testing.assert_allclose(grad_of(t, pb), A.T @ ones)
 
 
 def test_scalar_broadcast_only_for_1x1():
-    # a (1, 1) operand is the one shape that stretches onto any other; two
-    # full shapes that differ still raise
+    # a (1, 1) logit is the one shape that stretches onto any draws, and
+    # gates exactly as the full logit of its value; two full shapes that
+    # differ still raise
+    u = Rng(3).uniform(2, 3)
     t = Tape()
-    a = t.constant([[1.0, 2.0], [3.0, 4.0]])
-    s = t.constant([[10.0]])
-    np.testing.assert_array_equal(t.add(a, s).value, [[11.0, 12.0], [13.0, 14.0]])
-    np.testing.assert_array_equal(t.sub(s, a).value, [[9.0, 8.0], [7.0, 6.0]])
-    np.testing.assert_array_equal(t.mul(a, s).value, [[10.0, 20.0], [30.0, 40.0]])
+    scalar = gumbel_sigmoid(t, t.constant([[0.4]]), u=u, hard=False)
+    full = gumbel_sigmoid(t, t.constant(np.full((2, 3), 0.4)), u=u, hard=False)
+    np.testing.assert_array_equal(scalar.value, full.value)
     with pytest.raises(ValueError):
-        t.add(a, t.constant(np.ones((3, 2))))
-
-
-def test_rowvec_and_colvec_helpers():
-    # rows and columns go through the plain binary ops
-    t = Tape()
-    a = t.constant([[1.0, 2.0], [3.0, 4.0]])
-    row = t.constant([[10.0, 20.0]])
-    col = t.constant([[2.0], [3.0]])
-    np.testing.assert_array_equal(t.add(a, row).value, [[11.0, 22.0], [13.0, 24.0]])
-    np.testing.assert_array_equal(t.sub(row, a).value, [[9.0, 18.0], [7.0, 16.0]])
-    np.testing.assert_array_equal(t.mul(a, row).value, [[10.0, 40.0], [30.0, 80.0]])
-    np.testing.assert_array_equal(t.mul(col, a).value, [[2.0, 4.0], [9.0, 12.0]])
-
-
-@pytest.mark.parametrize("op", ["add", "sub", "mul"])
-def test_outer_and_mismatched_broadcasts_raise(op):
-    t = Tape()
-    col = t.constant([[1.0], [2.0]])
-    row = t.constant([[1.0, 2.0, 3.0]])
-    with pytest.raises(ValueError):
-        getattr(t, op)(col, row)        # (2, 1) with (1, 3) is an outer broadcast
-    with pytest.raises(ValueError):
-        getattr(t, op)(t.constant(np.ones((2, 3))), t.constant([[1.0, 2.0]]))
+        gumbel_sigmoid(t, t.constant(np.ones((3, 3))), u=u)
 
 
 def test_broadcast_gradient_sums_over_the_stretched_axes():
-    a = np.arange(6, dtype=float).reshape(3, 2)
-    for shape, axis in (((1, 2), 0), ((3, 1), 1), ((1, 1), (0, 1))):
+    # a gate logit stretched along an axis of length 1 takes the gradient
+    # of the full-shape logit of the same values, summed over that axis
+    u = Rng(4).uniform(3, 2)
+    w = Rng(5).normal(3, 2)
+
+    def grad(values):
         t = Tape()
-        p = t.param("b", np.full(shape, 2.0))
-        y = t.sum(t.add(t.mul(t.constant(a), p.raw), t.sub(p.raw, t.constant(a))))
-        t.backward(y)
-        # d/db sum(a b + b - a) = sum of (a + 1) over the stretched axes
-        np.testing.assert_array_equal(
-            grad_of(t, p), (a + 1.0).sum(axis=axis, keepdims=True))
+        p = t.param("alpha", values)
+        t.backward(weighted_sum(t, gumbel_sigmoid(t, p.raw, 0.7, u=u,
+                                                  hard=False), w))
+        return grad_of(t, p)
+
+    full = grad(np.full((3, 2), 0.3))
+    for shape, axis in (((1, 2), 0), ((3, 1), 1), ((1, 1), (0, 1))):
+        np.testing.assert_allclose(grad(np.full(shape, 0.3)),
+                                   full.sum(axis=axis, keepdims=True),
+                                   rtol=1e-14)
 
 
 def test_backward_rejects_nonscalar_loss():
@@ -154,14 +141,14 @@ def test_backward_rejects_foreign_tape():
 def test_reset_keeps_params_and_drops_graph():
     t = Tape()
     p = t.param("x", [[1.0, 2.0]])
-    y = t.sum(t.mul(p.raw, p.raw))
+    y = t.matmul(p.raw, t.constant([[1.0], [2.0]]))
     t.backward(y)
     n_before = len(t.nodes)
     t.reset()
     assert len(t.nodes) < n_before
     assert p.raw.nid == 0
     # param is still usable on the fresh graph
-    y2 = t.sum(p.raw)
+    y2 = weighted_sum(t, p.raw, np.ones((1, 2)))
     t.zero_grad()
     t.backward(y2)
     np.testing.assert_array_equal(grad_of(t, p), [[1.0, 1.0]])
@@ -177,7 +164,8 @@ def test_graph_replay_is_deterministic():
     def run():
         t = Tape()
         p = t.param("x", [[0.4, -0.9]])
-        y = t.sum(t.mul(t.clamp(p.raw, -0.5, 0.5), t.row_sum(t.mul(p.raw, p.raw))))
+        rows = t.matmul(t.constant([[1.0], [-2.0]]), t.clamp(p.raw, -0.5, 0.5))
+        y = t.matmul(p.raw, t.matmul(rows, t.constant([[0.3], [1.1]])))
         t.backward(y)
         return y.item(), p.raw.grad.copy()
 
@@ -190,34 +178,34 @@ def test_graph_replay_is_deterministic():
 def test_nodes_no_param_reaches_get_no_gradient():
     t = Tape()
     p = t.param("x", [[0.5, -1.5]])
-    c = t.constant([[2.0, 3.0]])
-    k = t.add(t.mul(c, c), c)                # computed from constants only
-    y = t.sum(t.add(t.mul(p.raw, k), c))
+    c = t.constant([[2.0], [3.0]])
+    k = t.clamp(c, 0.0, 2.5)                 # computed from constants only
+    y = t.matmul(p.raw, k)
     t.backward(y)
     for node in (c, k):
         assert not node.needs_grad
         assert node.grad is None
         assert node._vjp is None and node._parents == ()
     assert p.raw.needs_grad and y.needs_grad
-    np.testing.assert_array_equal(grad_of(t, p), k.value)
+    np.testing.assert_array_equal(grad_of(t, p), k.value.T)
     # a loss no param reaches leaves every buffer empty
-    t.backward(t.sum(k))
+    t.backward(t.mean(k))
     assert k.grad is None
     # a composite vjp that returns every parent's gradient hands none to
     # a parent no param reaches
     t.zero_grad()
-    both = t._record("both", p.raw.value + c.value, (p.raw, c),
-                     lambda g: (g, g))
-    t.backward(t.sum(both))
+    both = t._record("both", p.raw.value + c.value.T, (p.raw, c),
+                     lambda g: (g, g.T))
+    t.backward(weighted_sum(t, both, np.ones((1, 2))))
     assert c.grad is None
     np.testing.assert_array_equal(grad_of(t, p), [[1.0, 1.0]])
 
 
 def test_fan_out_gradients_match_numpy_and_accumulate():
-    # one param feeds add(x, x), two matmuls and a clamp that passes its
-    # gradient unchanged; add(x, x) is recorded last, so backward reaches it
-    # first and x's first contribution is the very array add hands to both
-    # parents
+    # one param feeds x + x, two matmuls and a clamp that passes its
+    # gradient unchanged; x + x is recorded last, so backward reaches it
+    # first and x's first contribution is the very array its vjp hands to
+    # both parents
     g = np.random.default_rng(5)
     X = g.normal(size=(3, 2))
     W, M = g.normal(size=(2, 4)), g.normal(size=(3, 3))
@@ -227,11 +215,14 @@ def test_fan_out_gradients_match_numpy_and_accumulate():
     x = p.raw
     right = t.matmul(t.constant(M), x)
     hard = t.clamp(x, -10.0, 10.0)
-    twice = t.add(x, x)
+    twice = t._record("twice", X + X, (x, x), lambda g: (g, g))
     left = t.matmul(twice, t.constant(W))
-    parts = [t.sum(t.mul(v, t.constant(c)))
-             for v, c in ((left, C1), (right, C2), (hard, C3))]
-    loss = t.add(t.add(parts[0], parts[1]), parts[2])
+    # the three weighted sums as one node
+    loss = t._record(
+        "parts", np.array([[sum((v.value * c).sum() for v, c in
+                                ((left, C1), (right, C2), (hard, C3)))]]),
+        (left, right, hard), lambda g: (g[0, 0] * C1, g[0, 0] * C2,
+                                        g[0, 0] * C3))
 
     expect = 2.0 * C1 @ W.T + M.T @ C2 + C3
     t.backward(loss)
@@ -263,7 +254,8 @@ def test_lapack_pack_and_unpack_are_the_row_by_row_scatter(n):
 
 def test_every_tape_op_is_reached(tmp_path, monkeypatch, capsys):
     # every public Tape method and every Var operator serves some study;
-    # the one exception is ``sum``, the loss reduction of the gradient checks
+    # the one exception is ``constant``, a leaf the gradient checks and
+    # tests build
     public = [n for n, v in vars(Tape).items()
               if callable(v) and not n.startswith("_")]
     sugar = [n for n, v in vars(Var).items() if callable(v)
@@ -294,7 +286,7 @@ def test_every_tape_op_is_reached(tmp_path, monkeypatch, capsys):
     for argv in studies:
         assert cli.main(argv + common) == 0, argv
     capsys.readouterr()
-    unreached = sorted(set(public + sugar) - called - {"sum"})
+    unreached = sorted(set(public + sugar) - called - {"constant"})
     assert not unreached, unreached
 
 

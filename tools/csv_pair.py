@@ -54,6 +54,12 @@ MATRIX = (
     ("grid-cell", ["suite", "--problems", "ackley", "--dims", "30",
                    "--algos", "pso-diff,ga-diff,de-diff",
                    "--evals-per-dim", "330"]),
+    # CMA-ES at its default sigma, where draws often leave the box and the
+    # box penalty runs; every other cmaes-diff cell starts at sigma 1
+    ("cmaes-default-sigma", ["suite", "--problems", "ackley,rosenbrock",
+                             "--dims", "10", "--algos", "cmaes,cmaes-diff",
+                             "--sigma0", "0", "--pop", "12",
+                             "--evals-per-dim", "100", "--runs", "2"]),
 )
 
 
