@@ -9,12 +9,17 @@ over learnable logits. The generation loss (best or mean candidate fitness)
 is therefore differentiable with respect to the algorithm's own
 hyperparameters and the population itself.
 
-The life cycle per generation is: ``generation()`` builds the graph and
-stages candidates, the caller runs ``backward`` and an optimizer step, and
-``update_state(optimizer)`` commits. The commit rule is uniform: a trainable
-slot with a staged candidate becomes candidate value plus the optimizer's
-displacement for that slot; slots without a candidate keep their stepped
-values. With learning rate zero every displacement vanishes, and then:
+The life cycle per generation is: ``generation()`` builds the graph,
+stages the candidates and writes each staged slot's candidate into the
+slot's value (X for ``pso-diff`` and ``ga-diff``, the greedy survivors
+for ``de-diff``, the recombined mean for ``cmaes-diff``); the caller runs
+``backward``, drops the graph and steps the optimizer, and
+``update_state()`` commits. Every vjp keeps the arrays it read at record
+time, so the write does not move a gradient. The commit rule is uniform:
+a trainable slot with a staged candidate becomes candidate plus the
+optimizer's displacement, which the step itself adds, clipped to the box
+for a population; slots without a candidate keep their stepped values.
+With learning rate zero every displacement vanishes, and then:
 
 * ``pso-diff`` and ``cmaes-diff`` are classical PSO and CMA-ES;
 * ``de-diff`` with hard masks and hard selection is classical DE under
@@ -95,11 +100,6 @@ class DiffAlgorithm(Population):
         loss, _ = self.tape.min_with_index(fit)
         return loss
 
-    def _delta(self, optimizer, name: str, like: np.ndarray) -> np.ndarray:
-        if optimizer is None:
-            return np.zeros_like(like)
-        return optimizer.delta(name)
-
     def current_best(self) -> float:
         """Best-so-far including the staged (not yet committed) candidates."""
         if self._staged is not None:
@@ -160,13 +160,12 @@ class DiffPso(DiffAlgorithm):
             "v_values": v_new,
             "fit": fit.value.ravel().copy(),
         }
+        self.pX.raw.value = self._staged["x_values"]
         return self._loss_from(fit)
 
-    def update_state(self, optimizer=None) -> None:
+    def update_state(self) -> None:
         st = self._need_staged()
-        dom = self.problem.domain
-        committed = dom.clip(st["x_values"] + self._delta(optimizer, "X", st["x_values"]))
-        self.pX.raw.value = committed
+        self.pX.raw.value = self.problem.domain.clip(self.pX.raw.value)
         self.V = st["v_values"]
         fit = st["fit"]
         better = fit < self.pfit
@@ -262,12 +261,12 @@ class DiffGa(DiffAlgorithm):
             "x_values": cand.value.copy(),
             "fit": fit.value.ravel().copy(),
         }
+        self.pX.raw.value = self._staged["x_values"]
         return self._loss_from(fit)
 
-    def update_state(self, optimizer=None) -> None:
+    def update_state(self) -> None:
         st = self._need_staged()
-        dom = self.problem.domain
-        committed = dom.clip(st["x_values"] + self._delta(optimizer, "X", st["x_values"]))
+        committed = self.problem.domain.clip(self.pX.raw.value)
         fit = st["fit"].copy()
         self._track_best(st["x_values"], st["fit"])
         if self.best_fitness < fit.min():
@@ -350,19 +349,17 @@ class DiffDe(DiffAlgorithm):
 
         win = tfit.value.ravel() <= self.fit
         self._staged = {
-            "x_values": np.where(win[:, None], trial.value, X.value),
             "trial_values": trial.value.copy(),
             "win": win,
             "fit": tfit.value.ravel().copy(),
         }
+        self.pX.raw.value = np.where(win[:, None], trial.value, X.value)
         return self._loss_from(tfit)
 
-    def update_state(self, optimizer=None) -> None:
+    def update_state(self) -> None:
         st = self._need_staged()
-        dom = self.problem.domain
-        committed = dom.clip(st["x_values"] + self._delta(optimizer, "X", st["x_values"]))
         self._track_best(st["trial_values"], st["fit"])
-        self.pX.raw.value = committed
+        self.pX.raw.value = self.problem.domain.clip(self.pX.raw.value)
         self.fit = np.where(st["win"], st["fit"], self.fit)
         self._staged = None
 
@@ -574,13 +571,15 @@ class DiffCmaes(DiffAlgorithm):
     on the tape, so the loss differentiates with respect to mu, log(sigma)
     and the packed entries of L through the penalty wherever the clamp
     passes no gradient.
-    After the optimizer has stepped those slots, ``CmaState.commit``
-    applies the classical update to the stepped sigma and factor at
-    detached values of the unclamped draws, with the log-rank weights over
-    the penalized fitness and the binary h_sigma gate. Neither is on the
-    tape, so at learning rate zero the run is classical CMA-ES. The mean
-    commits as candidate plus its own displacement. The best point tracked
-    is a clamped one with its unpenalised fitness.
+    The generation computes the log-rank weights over the penalized
+    fitness once, stages them and writes the recombined mean w X into the
+    mean slot, so the optimizer steps the candidate mean. After the
+    optimizer has stepped the three slots, ``CmaState.commit`` applies the
+    classical update to the stepped sigma and factor at detached values of
+    the unclamped draws, with the staged weights and the binary h_sigma
+    gate; the mean keeps its step. Neither is on the tape, so at learning
+    rate zero the run is classical CMA-ES. The best point tracked is a
+    clamped one with its unpenalised fitness.
     """
 
     name = "cmaes-diff"
@@ -622,28 +621,28 @@ class DiffCmaes(DiffAlgorithm):
         f = fit.value.ravel().copy()
         sel = box_penalty(t, cma, Xs, Xc, fit, sigma)
 
+        x_raw = Xs.value.copy()
+        w = cma.rank_weights(sel.value.ravel())
         self._staged = {
             "x_values": Xc.value.copy(),
-            "x_raw": Xs.value.copy(),
+            "x_raw": x_raw,
             "fit": f,
+            "w": w,
             "sel_fit": sel.value.ravel().copy(),
             "z": z.copy(),
             "mu_prev": self.p_mu.raw.value.ravel().copy(),
             "sigma_prev": sigma,
         }
+        self.p_mu.raw.value = (w @ x_raw).reshape(1, -1)
         return self._loss_from(sel)
 
-    def update_state(self, optimizer=None) -> None:
+    def update_state(self) -> None:
         st = self._need_staged()
         cma = self.cma
-        d = self.problem.dim
-        mu_cand, sigma_new, packed = cma.commit(
-            st["x_raw"], st["z"], cma.rank_weights(st["sel_fit"]),
-            st["mu_prev"], st["sigma_prev"],
+        _, sigma_new, packed = cma.commit(
+            st["x_raw"], st["z"], st["w"], st["mu_prev"], st["sigma_prev"],
             float(np.exp(self.p_log_sigma.raw.value[0, 0])), self.p_L.raw.value)
-        mu_new = mu_cand + self._delta(optimizer, "mu", mu_cand.reshape(1, d)).ravel()
-        self.p_mu.raw.value = mu_new.reshape(1, d)
-        cma.box.observe(mu_new)
+        cma.box.observe(self.p_mu.raw.value.ravel())
         self.p_log_sigma.raw.value = np.array([[math.log(sigma_new)]])
         self.p_L.raw.value = packed
 

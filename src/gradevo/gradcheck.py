@@ -76,35 +76,43 @@ def fd_check(build_loss: Callable[[], Var], tape: Tape,
     """Max elementwise error per param between backprop and central FD.
 
     ``build_loss`` must reconstruct the loss from current param values; it
-    is called 2 * n_elements + 1 times with the tape reset in between.
+    is called 2 * n_elements + 1 times with the tape reset in between. It
+    may write param values, as a generation writes its staged candidates
+    into its slots: every call starts from the values the tape's params
+    held when ``fd_check`` was called, and the check restores them.
     """
     if params is None:
         params = list(tape.params)
-    tape.reset()
+    start = {p: p.raw.value for p in tape.params}
+
+    def loss_at(param=None, value=None) -> Var:
+        for q, v in start.items():
+            q.raw.value = value if q is param else v
+        tape.reset()
+        return build_loss()
+
     tape.zero_grad()
-    loss = build_loss()
-    tape.backward(loss)
+    tape.backward(loss_at())
     analytic = {
         p.name: (p.raw.grad.copy() if p.raw.grad is not None
-                 else np.zeros_like(p.raw.value))
+                 else np.zeros_like(start[p]))
         for p in params
     }
     errs = {}
     for p in params:
-        base = p.raw.value.copy()
+        base = start[p]
         fd = np.zeros_like(base)
         for idx in np.ndindex(base.shape):
-            p.raw.value = base.copy()
-            p.raw.value[idx] = base[idx] + h
-            tape.reset()
-            f_plus = build_loss().item()
-            p.raw.value = base.copy()
-            p.raw.value[idx] = base[idx] - h
-            tape.reset()
-            f_minus = build_loss().item()
+            value = base.copy()
+            value[idx] = base[idx] + h
+            f_plus = loss_at(p, value).item()
+            value = base.copy()
+            value[idx] = base[idx] - h
+            f_minus = loss_at(p, value).item()
             fd[idx] = (f_plus - f_minus) / (2.0 * h)
-        p.raw.value = base
         errs[p.name] = _err(analytic[p.name], fd)
+    for q, v in start.items():
+        q.raw.value = v
     tape.reset()
     tape.zero_grad()
     return errs

@@ -3,8 +3,11 @@ and the generation loop shared by every run: classical, differentiable and
 the wine backprop baseline.
 
 One outer iteration is one inner generation: build the generation graph,
-backpropagate the generation loss, step every trainable slot with Adam,
-adjust the learning rate on stagnation, then commit the stepped state. A
+backpropagate the generation loss, drop the graph, step every trainable
+slot with Adam, drop the gradients, adjust the learning rate on
+stagnation, then commit the stepped state. Each buffer is released once
+its last reader is done, so a generation never holds its graph and
+Adam's step, or its gradients and the commit, at once. A
 run over ``max_evals`` evaluations performs exactly
 ceil(max_evals / pop_size) generations of pop_size evaluations each; the
 algorithm evaluates its first population when it is constructed, and that
@@ -29,10 +32,13 @@ SPLIT_ENTRIES = 1 << 16
 class Adam:
     """Adam with bias correction over named tape params.
 
-    ``step()`` applies the update in place and remembers each slot's
-    displacement so the commit phase can replay it on top of a staged
-    candidate. A missing gradient counts as zero (the slot keeps its value);
-    a non-finite gradient is an error naming the parameter.
+    ``step()`` replaces each slot's value by value plus its displacement.
+    A differentiable generation has already written its staged candidate
+    into the slots it stages, so the step lands on the candidate, not on
+    the value the graph was recorded at. Only the gradients and the
+    moments ``m`` and ``v`` are read; the displacement is scratch, dropped
+    once added. A missing gradient counts as zero (the slot keeps its
+    value); a non-finite gradient is an error naming the parameter.
 
     The update is elementwise, so a slot of at least ``SPLIT_ENTRIES``
     entries (the packed wine factor) is cut into contiguous chunks that
@@ -53,7 +59,6 @@ class Adam:
         self.t = 0
         self._m = {p.name: np.zeros(p.raw.value.shape) for p in self.params}
         self._v = {p.name: np.zeros(p.raw.value.shape) for p in self.params}
-        self._last_delta = {}
 
     def step(self) -> None:
         self.t += 1
@@ -99,12 +104,6 @@ class Adam:
                                               for a in flat)),
                         par.split(value.size))
             p.raw.value = new
-            self._last_delta[p.name] = delta
-
-    def delta(self, name: str) -> np.ndarray:
-        """Displacement applied to ``name`` by the most recent step;
-        KeyError before the first step."""
-        return self._last_delta[name]
 
 
 class PlateauScheduler:
@@ -172,8 +171,12 @@ def run_loop(algo, problem, max_evals: int, optimizer: Adam = None,
     """Drive ``algo`` for ceil(max_evals / pop_size) generations.
 
     Works for both classical algorithms (plain ``generation()`` calls) and
-    on-tape ones, the differentiable algorithms and the wine backprop arm
-    (zero_grad / backward / step / commit / reset per generation). Returns
+    on-tape ones, the differentiable algorithms and the wine backprop arm.
+    An on-tape generation runs generation / backward / reset / step /
+    zero_grad / scheduler / commit: the graph is dropped as soon as
+    backward has read it, since the step reads only the param gradients,
+    which survive ``reset``, and those are dropped as soon as the step has
+    read them. Returns
     (records, error): on an exception the records collected so far come
     back along with a ``RunError`` carrying the traceback; otherwise
     error is None.
@@ -189,15 +192,15 @@ def run_loop(algo, problem, max_evals: int, optimizer: Adam = None,
     try:
         for g in range(n_gens):
             if is_diff:
-                algo.tape.zero_grad()
-                loss = algo.generation()
-                algo.tape.backward(loss)
+                tape = algo.tape
+                tape.backward(algo.generation())
+                tape.reset()
                 if optimizer is not None:
                     optimizer.step()
+                tape.zero_grad()
                 if scheduler is not None:
                     scheduler.step(algo.current_best())
-                algo.update_state(optimizer)
-                algo.tape.reset()
+                algo.update_state()
                 best = algo.best_fitness
             else:
                 best = algo.generation()

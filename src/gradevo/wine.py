@@ -14,14 +14,16 @@ header row). ``write_synthetic_wine`` generates a fixed, seed-pinned table in
 the same format with realistic feature scales for offline runs; pass a real
 winequality-red.csv to ``load_wine`` and everything downstream is unchanged.
 
-``mlp_forward`` is the network's one forward pass, shared by both
-evaluation paths: it returns the loss of every parameter row of a (k, P)
-batch together with the hidden activations and residuals. ``eval_array``
-keeps the losses; ``eval_pop`` records the whole batch as a single tape
-node, ``mlp_mse``, whose parent is the (k, P) population and whose
-hand-written vjp (Griewank & Walther, *Evaluating Derivatives*, ch. 6)
-reads those buffers back, so the tape holds one node per population
-instead of a graph per candidate.
+``mlp_forward`` is the network's forward pass on the tape's path: it
+returns the loss of every parameter row of a (k, P) batch together with
+the hidden activations and residuals. ``eval_pop`` records the whole batch
+as a single tape node, ``mlp_mse``, whose parent is the (k, P) population
+and whose hand-written vjp (Griewank & Walther, *Evaluating Derivatives*,
+ch. 6) reads those buffers back, so the tape holds one node per population
+instead of a graph per candidate. ``eval_array`` needs the losses alone:
+``mlp_losses`` runs each row's same forward pass in one (n, n_hidden)
+scratch per chunk of rows instead of keeping the (k, n, n_hidden)
+activations, with the same bits.
 
 b1 is stored right after the row-major W1, so each row's first layer is
 one gemm of the inputs with a ones column, ``[F | 1] @ [W1; b1]``, and the
@@ -207,32 +209,62 @@ def mlp_forward(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
     ``with_ones`` is ``[F | 1]`` for a caller that keeps it, such as
     ``WineProblem``; it is built from ``features`` when omitted.
     """
+    loss, parts, k, n = _row_pass(X, features, targets, spec, with_ones)
+    h = np.empty((k, n, spec.n_hidden))
+    r = np.empty((k, n, 1))
+    losses = np.empty(k)
+
+    def rows(part, sq):
+        for i in part:
+            losses[i] = loss(X[i], h[i], r[i], sq)
+
+    par.run(rows, parts, np.empty((len(parts), n, 1)))
+    return losses, h, r
+
+
+def mlp_losses(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
+               spec: MlpSpec, *, with_ones: np.ndarray = None) -> np.ndarray:
+    """The (k,) losses of ``mlp_forward``, bitwise, without its buffers:
+    each chunk of rows computes every row in one (n, n_hidden) and one
+    (n, 1) scratch of its own, so the pass holds one activation array per
+    chunk, not one per row."""
+    loss, parts, k, n = _row_pass(X, features, targets, spec, with_ones)
+    losses = np.empty(k)
+
+    def rows(part, sq, hs, rs):
+        for i in part:
+            losses[i] = loss(X[i], hs, rs, sq)
+
+    m = len(parts)
+    par.run(rows, parts, np.empty((m, n, 1)),
+            np.empty((m, n, spec.n_hidden)), np.empty((m, n, 1)))
+    return losses
+
+
+def _row_pass(X, features, targets, spec, with_ones):
+    """What ``mlp_forward`` and ``mlp_losses`` share: the shape check, the
+    chunks of rows, and the one row's forward pass ``loss(p, hi, ri, sq)``,
+    which computes the activations in hi, the residuals in ri and their
+    squares in sq, and returns p's loss."""
     if X.ndim != 2 or X.shape[1] != spec.n_params:
         raise ValueError(f"params must be (k, {spec.n_params}), got {X.shape}")
     (w1a, _), (_, b1b), (w2a, w2b), (b2a, b2b) = spec.unpack_spans()
     k, n = X.shape[0], features.shape[0]
     f1 = _with_ones(features) if with_ones is None else with_ones
     t = targets.reshape(n, 1)
-    h = np.empty((k, n, spec.n_hidden))
-    r = np.empty((k, n, 1))
-    losses = np.empty(k)
-
     parts = par.split(k)
     cuts = _data_chunks(n, len(parts))
 
-    def rows(part, sq):
-        for i in part:
-            p, hi, ri = X[i], h[i], r[i]
-            np.matmul(f1, p[w1a:b1b].reshape(spec.n_in + 1, spec.n_hidden),
-                      out=hi)
-            par.run(_tanh, [hi[c] for c in cuts])
-            np.matmul(hi, p[w2a:w2b].reshape(spec.n_hidden, 1), out=ri)
-            ri += p[b2a:b2b]
-            ri -= t
-            losses[i] = np.power(ri, 2.0, out=sq).mean()
+    def loss(p, hi, ri, sq) -> float:
+        np.matmul(f1, p[w1a:b1b].reshape(spec.n_in + 1, spec.n_hidden),
+                  out=hi)
+        par.run(_tanh, [hi[c] for c in cuts])
+        np.matmul(hi, p[w2a:w2b].reshape(spec.n_hidden, 1), out=ri)
+        ri += p[b2a:b2b]
+        ri -= t
+        return np.power(ri, 2.0, out=sq).mean()
 
-    par.run(rows, parts, np.empty((len(parts), n, 1)))
-    return losses, h, r
+    return loss, parts, k, n
 
 
 def _data_chunks(n: int, row_chunks: int) -> list:
@@ -285,8 +317,8 @@ class WineProblem(Problem):
         return cls(feats, noisy_targets(quality, noise_seed), **kw)
 
     def _eval_array(self, X):
-        return mlp_forward(X, self.features, self.targets, self.spec,
-                           with_ones=self._f1)[0]
+        return mlp_losses(X, self.features, self.targets, self.spec,
+                          with_ones=self._f1)
 
     def _eval_pop(self, tape, X):
         """The population's losses as one ``mlp_mse`` node.
@@ -362,7 +394,7 @@ class Backprop:
         self._loss = float(loss.value[0, 0])
         return loss
 
-    def update_state(self, optimizer=None) -> None:
+    def update_state(self) -> None:
         self.best_fitness = min(self.best_fitness, self._loss)
 
     def hyperparams(self) -> dict:

@@ -126,13 +126,13 @@ def test_de_matches_classical_with_shared_noise(variant):
 
 
 def _diff_step(algo, opt, noise=None):
-    """One differentiable generation committed after an optimizer step."""
-    algo.tape.zero_grad()
-    loss = algo.generation(noise)
-    algo.tape.backward(loss)
-    opt.step()
-    algo.update_state(opt)
+    """One differentiable generation committed after an optimizer step, in
+    ``run_loop``'s order."""
+    algo.tape.backward(algo.generation(noise))
     algo.tape.reset()
+    opt.step()
+    algo.tape.zero_grad()
+    algo.update_state()
 
 
 @pytest.mark.parametrize("problem, d, pop, sigma0", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradevo import par
-from gradevo.diffevo import DiffCmaes, DiffPso
+from gradevo.diffevo import DiffCmaes, DiffDe, DiffGa, DiffPso
 from gradevo.classic import ClassicPso
 from gradevo.outer import SPLIT_ENTRIES, Adam, PlateauScheduler, run_loop
 from gradevo.problems import make_problem
@@ -21,8 +21,8 @@ def test_adam_leaves_value_alone_without_gradient():
     p = scalar_param(tape, 3.0)
     opt = Adam([p], lr=0.5)
     opt.step()
-    assert p.raw.value[0, 0] == 3.0
-    np.testing.assert_array_equal(opt.delta("p"), np.zeros((1, 1)))
+    np.testing.assert_array_equal(p.raw.value.view(np.int64),
+                                  np.array([[3.0]]).view(np.int64))
 
 
 def test_adam_first_step_is_signed_lr():
@@ -88,19 +88,27 @@ def test_adam_step_is_bitwise_the_serial_formula(monkeypatch, width):
             p.raw.grad = grads[p.name][step]
         opt.step()
     for p in params:
-        want, want_delta = serial_adam(start[p.name], grads[p.name], 0.05)
+        want, _ = serial_adam(start[p.name], grads[p.name], 0.05)
         np.testing.assert_array_equal(p.raw.value.view(np.int64),
                                       want.view(np.int64))
-        np.testing.assert_array_equal(opt.delta(p.name).view(np.int64),
-                                      want_delta.view(np.int64))
+    # a value written between steps, as a generation writes its staged
+    # candidate, is what the next step lands on
+    cand = {n: rng.normal(size=s) for n, s in shapes.items()}
+    for p in params:
+        p.raw.value = cand[p.name].copy()
+        p.raw.grad = grads[p.name][0]
+    opt.step()
+    for p in params:
+        _, want_delta = serial_adam(start[p.name],
+                                    grads[p.name] + [grads[p.name][0]], 0.05)
+        np.testing.assert_array_equal(
+            p.raw.value.view(np.int64),
+            (cand[p.name] + want_delta).view(np.int64))
 
 
-def test_adam_validates_learning_rate_and_delta_lookup():
+def test_adam_validates_learning_rate():
     with pytest.raises(ValueError):
         Adam([], lr=-0.1)
-    opt = Adam([], lr=0.1)
-    with pytest.raises(KeyError):
-        opt.delta("ghost")
 
 
 def test_scheduler_halves_on_plateau_and_respects_floor():
@@ -208,3 +216,77 @@ def test_hyper_record_tracks_learned_values():
     sigmas = [r.hyper["sigma"] for r in records]
     assert all(s > 0 for s in sigmas)
     assert sigmas[0] != sigmas[-1]
+
+
+DIFF_ARMS = [DiffPso, DiffGa, DiffDe, DiffCmaes]
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("cls", DIFF_ARMS, ids=lambda c: c.name)
+def test_commit_is_the_candidate_plus_the_adam_displacement(cls):
+    # generation writes the staged candidate into the slot, Adam steps it,
+    # and the commit clips a population: X (or mu) = clip(candidate + the
+    # serial formula's displacement), bit for bit
+    prob = make_problem("ackley", 4)
+    algo = cls(prob, pop_size=8, rng=Rng(5))
+    slot = algo.p_mu if cls is DiffCmaes else algo.pX
+    opt = Adam(algo.tape.params, lr=0.5)
+    grads = []
+    for _ in range(3):
+        before = slot.raw.value
+        algo.tape.backward(algo.generation())
+        st = algo._staged
+        cand = slot.raw.value.copy()
+        if cls is DiffDe:
+            staged = np.where(st["win"][:, None], st["trial_values"], before)
+        elif cls is DiffCmaes:
+            w = algo.cma.rank_weights(st["sel_fit"])
+            staged = (w @ st["x_raw"]).reshape(1, -1)
+        else:
+            staged = st["x_values"]
+        np.testing.assert_array_equal(_bits(cand), _bits(staged))
+        g = slot.raw.grad
+        grads.append(np.zeros(cand.shape) if g is None else g.copy())
+        algo.tape.reset()
+        opt.step()
+        algo.tape.zero_grad()
+        algo.update_state()
+        _, delta = serial_adam(np.zeros(cand.shape), grads, 0.5)
+        assert np.any(delta != 0.0)
+        want = cand + delta
+        if cls is not DiffCmaes:
+            want = prob.domain.clip(want)
+        if cls is DiffGa and algo.best_fitness < st["fit"].min():
+            want[np.argmax(st["fit"])] = algo.best_x
+        np.testing.assert_array_equal(_bits(slot.raw.value), _bits(want))
+
+
+@pytest.mark.parametrize("cls", DIFF_ARMS, ids=lambda c: c.name)
+def test_run_loop_frees_the_graph_before_the_step_and_the_gradients_after(cls):
+    prob = make_problem("ackley", 4)
+    algo = cls(prob, pop_size=8, rng=Rng(6))
+    tape = algo.tape
+    opt = Adam(tape.params, lr=0.1)
+    seen = []
+    step = opt.step
+
+    def spy():
+        seen.append((len(tape.nodes),
+                     any(p.raw.grad is not None for p in tape.params)))
+        step()
+
+    opt.step = spy
+    records, err = run_loop(algo, prob, max_evals=8, optimizer=opt)
+    del opt.step
+    assert err is None and len(records) == 1
+    # Adam stepped on a tape of params alone, with their gradients
+    assert seen == [(len(tape.params), True)]
+    assert all(a is p.raw for a, p in zip(tape.nodes, tape.params))
+    assert len(tape.nodes) == len(tape.params)
+    assert all(p.raw.grad is None for p in tape.params)
+    names = [p.name for p in tape.params]
+    assert set(vars(opt)) == {"params", "lr", "t", "_m", "_v"}
+    assert list(opt._m) == list(opt._v) == names

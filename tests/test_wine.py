@@ -1,5 +1,7 @@
 """Wine table loading, the MLP forward, its loss node on the tape and the backprop arm."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,13 +110,33 @@ def test_micro_network_hand_oracle():
 
 
 def test_tape_forward_matches_array_reference(table):
-    # both evaluation paths run mlp_forward, so they agree to the bit
+    # both evaluation paths run one row's forward pass, so they agree to
+    # the bit, with one row chunk over data-row chunks of tanh (k = 1) and
+    # with several row chunks (k = 30)
     prob = WineProblem.from_file(table, noise_seed=0)
-    X = np.random.default_rng(1).uniform(-10, 10, size=(30, 1665))
-    t = Tape()
-    fit = prob.eval_pop(t, t.constant(X))
-    assert fit.shape == (30, 1)
-    np.testing.assert_array_equal(fit.value.ravel(), prob.eval_array(X))
+    for k in (30, 1):
+        X = np.random.default_rng(1).uniform(-10, 10, size=(k, 1665))
+        t = Tape()
+        fit = prob.eval_pop(t, t.constant(X))
+        assert fit.shape == (k, 1)
+        np.testing.assert_array_equal(fit.value.ravel().view(np.int64),
+                                      prob.eval_array(X).view(np.int64))
+
+
+def test_array_losses_keep_no_activation_buffer(table):
+    # eval_array computes each row in a scratch per chunk of rows; the
+    # tape's path keeps all k (n, n_hidden) activations for its vjp
+    prob = WineProblem.from_file(table, noise_seed=0)
+    X = np.random.default_rng(2).uniform(-10, 10, size=(30, 1665))
+    activations = 8 * 30 * prob.features.shape[0] * prob.spec.n_hidden
+    prob.eval_array(X)                      # the pool starts outside
+    tracemalloc.start()
+    try:
+        prob.eval_array(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < activations / 4
 
 
 @pytest.mark.parametrize("reduce", ["mean", "best"])
