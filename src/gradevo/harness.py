@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
+import resource
 import sys
 import tempfile
 import time
@@ -287,24 +288,40 @@ def experiment_dir(cfg: ExperimentConfig) -> Path:
     return root / cfg.resolved_label()
 
 
+def _minor_faults() -> int:
+    """Minor page faults of this process and of its waited-for children."""
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+
+def _malloc_text(policy) -> str:
+    if policy is None:
+        return "default"
+    verdict = "accepted" if policy["accepted"] else "rejected"
+    return (f"mmap {policy['mmap_threshold']} "
+            f"trim {policy['trim_threshold']} {verdict}")
+
+
 def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
     """Execute all runs, write CSVs and timing, return (stats, exp_dir).
 
-    BLAS is pinned to one thread here and in each worker process before
-    any run, so the CSVs do not depend on the machine's thread count.
+    BLAS is pinned to one thread and the allocator policy set
+    (``par.init_process``) here and in each worker process before any run,
+    so the CSVs do not depend on the machine's thread count.
     A failed run still writes its partial CSV and is excluded from the
     summary, with a one-line warning; its full traceback goes to
     ``errors.log``. Only a fully failed experiment raises.
     """
     exp_dir = experiment_dir(cfg)
     exp_dir.mkdir(parents=True, exist_ok=True)
-    blas_threads = par.pin_blas()
+    blas_threads, malloc = par.init_process()
     t0 = time.perf_counter()
+    faults0 = _minor_faults()
 
     results: dict[int, tuple[list, object]] = {}
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers,
-                                 initializer=par.pin_blas) as pool:
+                                 initializer=par.init_process) as pool:
             futures = [pool.submit(run_single, cfg, i) for i in range(cfg.runs)]
             for fut in futures:
                 idx, records, err = fut.result()
@@ -313,6 +330,8 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
         for i in range(cfg.runs):
             idx, records, err = run_single(cfg, i)
             results[idx] = (records, err)
+    # after the pool's shutdown has waited for its workers
+    faults = _minor_faults() - faults0
     wall = time.perf_counter() - t0
 
     finals = []
@@ -348,6 +367,8 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
         fh.write(f"completed={len(finals)} failed={len(failures)}\n")
         fh.write(f"pool_threads={par.width()}\n")
         fh.write(f"blas_threads={blas_threads}\n")
+        fh.write(f"malloc={_malloc_text(malloc)}\n")
+        fh.write(f"minor_faults={faults}\n")
     if not quiet:
         print(
             f"{cfg.resolved_label()}: mean={stats.mean:.6g} "

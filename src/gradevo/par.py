@@ -1,4 +1,5 @@
-"""Threads: a pool for independent rows or elements, and the BLAS pin.
+"""Threads: a pool for independent rows or elements, the BLAS pin, and
+the allocator policy.
 
 ``run`` spreads chunks from ``split`` over one thread per CPU the process
 may use. Each chunk runs the serial loop's numpy operations on its own
@@ -10,11 +11,28 @@ and write into buffers the caller allocated.
 with more, a product's summation order follows the thread count, and the
 same seed gives different bytes on different machines. ``blas_threads``
 reads their counts back without setting them.
+
+``set_malloc`` fixes glibc's ``M_MMAP_THRESHOLD`` at 16 MiB and
+``M_TRIM_THRESHOLD`` at 44 MiB through ``mallopt``. At glibc's defaults a
+generation's freed buffers go back to the kernel, by a trim of the heap top
+or an unmap, and the next generation faults them in again: about 200 minor
+faults per generation of ``ga-diff`` and ``de-diff`` at Ackley-30, pop
+100, and 800 per epoch of the wine adam arm. glibc's own rule raises the
+thresholds only after a large mapping is freed, and a fixed pair acts from
+the first generation of any arm. 16 MiB keeps wine's 11 MB packed-factor
+arrays on the heap, while its 22 MB dense factor and 49 MB activation
+buffer stay mapped and are returned when freed. 44 MiB, twice the 22 MB
+mmap threshold glibc's rule settles at on wine, keeps the freed heap top
+without raising wine's peak RSS. The arithmetic is unchanged, so the CSVs
+are too. ``mallopt`` acts on the calling process only; ``init_process``
+calls it in every process that runs experiments, and a C library other
+than glibc is left alone.
 """
 
 from __future__ import annotations
 
 import os
+import platform
 
 import numpy as np
 
@@ -123,3 +141,37 @@ def pin_blas() -> int:
     for _, set_threads, _ in _openblas_libs():
         set_threads(1)
     return max(blas_threads().values(), default=0)
+
+
+MMAP_THRESHOLD = 16 << 20
+TRIM_THRESHOLD = 44 << 20
+# <malloc.h>: the mallopt parameter numbers
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def set_malloc() -> dict | None:
+    """Set glibc's mmap and trim thresholds for this process.
+
+    Returns ``{"mmap_threshold", "trim_threshold", "accepted"}``, where
+    ``accepted`` says whether ``mallopt`` took both values, or None where
+    the C library is not glibc (left alone).
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return None
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    replies = [mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+               mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)]
+    return {"mmap_threshold": MMAP_THRESHOLD,
+            "trim_threshold": TRIM_THRESHOLD, "accepted": replies == [1, 1]}
+
+
+def init_process() -> tuple:
+    """Pin BLAS and set the allocator policy: what a process does before it
+    runs experiments, and the initializer of each worker process. Returns
+    ``(pin_blas(), set_malloc())``."""
+    return pin_blas(), set_malloc()

@@ -96,3 +96,15 @@ def test_blas_threads_reads_both_openblas_builds_under_perfbench_env():
     # the same builds this process finds, each at perfbench's one thread
     assert set(counts) == set(par.blas_threads())
     assert all(v == 1 for v in counts.values())
+
+
+def test_malloc_policy_reads_each_sides_policy_and_null_without_one(tmp_path):
+    from gradevo import par
+
+    assert bench_pair.malloc_policy(_path.parents[1]) == par.set_malloc()
+    # a checkout whose par sets no policy, as at the parent of the policy
+    pkg = tmp_path / "src" / "gradevo"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "par.py").write_text("")
+    assert bench_pair.malloc_policy(tmp_path) is None

@@ -1,6 +1,7 @@
 """Experiment harness, summary statistics, SVG emitters, and the CLI."""
 
 import os
+import platform
 import signal
 import subprocess
 import sys
@@ -173,6 +174,10 @@ def test_experiment_writes_runs_summary_and_timing(tmp_path):
     log = (exp_dir / "timing.log").read_text().splitlines()
     assert f"pool_threads={len(os.sched_getaffinity(0))}" in log
     assert "blas_threads=1" in log
+    if platform.libc_ver()[0] == "glibc":
+        assert "malloc=mmap 16777216 trim 46137344 accepted" in log
+    faults = [line for line in log if line.startswith("minor_faults=")]
+    assert len(faults) == 1 and int(faults[0].split("=")[1]) >= 0
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -17,16 +17,18 @@ on each side (Python, numpy and scipy versions, the BLAS threads read back
 from numpy's OpenBLAS, the pool width as ``nproc``), the thread counts of
 both OpenBLAS builds, numpy's and scipy's (which runs the CMA-ES factor
 update), read in each side's checkout under perfbench's environment, the
-seeds, every pair's end-to-end metrics and, per workload and metric, each
-side's median and quartiles, the change/parent ratios with their median
-and quartiles, and how many pairs the change won (ties count for neither
-side).
+allocator policy each side sets (``par.set_malloc``; null on a side
+without one), the seeds, every pair's end-to-end metrics and, per workload
+and metric, each side's median and quartiles, the change/parent ratios
+with their median and quartiles, and how many pairs the change won (ties
+count for neither side).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -82,20 +84,33 @@ def perfbench(checkout: Path, workload: str, seed: int,
     return out
 
 
-# par.blas_threads reads the counts with pin_blas's calls and sets none
-BLAS_PROBE = ("import json; from gradevo import par; "
-              "print(json.dumps(par.blas_threads()))")
+def probe(checkout: Path, code: str):
+    """What ``code`` prints as JSON, run by a fresh process in ``checkout``
+    under the environment perfbench gives its children (its pinned thread
+    variables), importing gradevo from the checkout's own ``src``."""
+    env = perfbench_run.child_env(checkout)
+    env["PYTHONPATH"] = os.pathsep.join([str(checkout / "src"),
+                                         env["PYTHONPATH"]])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=checkout,
+                          env=env, check=True, text=True,
+                          stdout=subprocess.PIPE)
+    return json.loads(proc.stdout)
 
 
 def blas_threads(checkout: Path) -> dict:
     """The thread counts of numpy's and of scipy's OpenBLAS, keyed "numpy"
-    and "scipy", read in a fresh process run in ``checkout`` under the
-    environment perfbench gives its children (its pinned thread variables,
-    with this tree's ``src`` on the path)."""
-    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], cwd=checkout,
-                          env=perfbench_run.child_env(checkout), check=True,
-                          text=True, stdout=subprocess.PIPE)
-    return json.loads(proc.stdout)
+    and "scipy", as ``checkout`` reads them (``par.blas_threads`` sets
+    none)."""
+    return probe(checkout, "import json; from gradevo import par; "
+                           "print(json.dumps(par.blas_threads()))")
+
+
+def malloc_policy(checkout: Path):
+    """The allocator policy ``checkout`` sets (``par.set_malloc`` in a
+    process of its own), or None where it sets none."""
+    return probe(checkout, "import json; from gradevo import par; "
+                           "f = getattr(par, 'set_malloc', lambda: None); "
+                           "print(json.dumps(f()))")
 
 
 def quartiles(values) -> dict:
@@ -183,6 +198,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         checkouts = {s: export(revs[s], Path(tmp) / s) for s in SIDES}
         threads = {s: blas_threads(checkouts[s]) for s in SIDES}
+        malloc = {s: malloc_policy(checkouts[s]) for s in SIDES}
         results = run_pairs(
             lambda side, w, seed: perfbench(checkouts[side], w, seed, seconds),
             workloads, seeds, spec["end_to_end"])
@@ -197,6 +213,7 @@ def main(argv=None) -> int:
         },
         "environments": environments(results),
         "openblas_threads": threads,
+        "malloc": malloc,
         "run_seconds": seconds,
         "seeds": seeds,
         "workloads": results,
