@@ -13,13 +13,13 @@ tests can freeze or share the stochastic draws.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtpqrt, dtpttr, dtrttp
 
-from . import kernels
+from . import kernels, par
 from .problems import Problem
 from .relax import Rng
 
@@ -59,17 +59,85 @@ def cma_constants(dim: int, lam: int) -> CmaConstants:
     return CmaConstants(mu, weights, me, c_sigma, d_sigma, c_c, c_1, c_mu, chi_n)
 
 
+# Three LAPACK routines of numpy's OpenBLAS, called through ctypes. Every
+# Fortran argument goes by reference, integers as 64-bit ones; the hidden
+# length of dtpttr's and dtrttp's character argument goes last, by value.
+_DTPQRT, _DTPTTR, _DTRTTP = par.lapack("dtpqrt", "dtpttr", "dtrttp")
+_I64 = ctypes.c_int64
+_INT, _PTR = ctypes.POINTER(_I64), ctypes.c_void_p
+_DTPQRT.argtypes = [_INT] * 4 + [_PTR, _INT] * 4
+_DTPTTR.argtypes = [ctypes.c_char_p, _INT, _PTR, _PTR, _INT, _INT,
+                    ctypes.c_size_t]
+_DTRTTP.argtypes = [ctypes.c_char_p, _INT, _PTR, _INT, _PTR, _INT,
+                    ctypes.c_size_t]
+_DTPQRT.restype = _DTPTTR.restype = _DTRTTP.restype = None
+
+
+def _tpttr(ap: np.ndarray, n: int) -> np.ndarray:
+    """The Fortran-order (n, n) upper-triangular matrix whose upper
+    triangle, packed column by column, is ``ap``. Its strict lower triangle
+    is zero: dtpttr leaves it as it finds it."""
+    ap = np.ascontiguousarray(ap, dtype=np.float64)
+    if ap.size != n * (n + 1) // 2:
+        raise ValueError(f"{ap.size} packed entries for order {n}")
+    U = np.zeros((n, n), order="F")
+    N, info = _I64(n), _I64()
+    _DTPTTR(b"U", N, ap.ctypes.data, U.ctypes.data, N, info, 1)
+    if info.value:
+        raise RuntimeError(f"dtpttr failed: info {info.value}")
+    return U
+
+
+def _trttp(U: np.ndarray) -> np.ndarray:
+    """The upper triangle of the (n, n) ``U``, packed column by column into
+    a new (n(n+1)/2,) array."""
+    U = np.asfortranarray(U, dtype=np.float64)
+    n = U.shape[0]
+    if U.shape != (n, n):
+        raise ValueError(f"a square matrix to pack, got shape {U.shape}")
+    ap = np.empty(n * (n + 1) // 2)
+    N, info = _I64(n), _I64()
+    _DTRTTP(b"U", N, U.ctypes.data, N, ap.ctypes.data, info, 1)
+    if info.value:
+        raise RuntimeError(f"dtrttp failed: info {info.value}")
+    return ap
+
+
+def _tpqrt(A: np.ndarray, B: np.ndarray, nb: int) -> None:
+    """dtpqrt for a rectangular B (its argument L = 0): the QR of [A; B]
+    for the Fortran-order float64 upper-triangular A (n, n) and B (m, n), in
+    place. R overwrites A's upper
+    triangle, and A's strict lower triangle is left as it was; B is
+    overwritten by the reflectors. Block size ``nb``, 1 <= nb <= n."""
+    m, n = B.shape
+    for X in (A, B):
+        if not (X.dtype == np.float64 and X.flags.f_contiguous
+                and X.flags.writeable):
+            raise ValueError("dtpqrt works on writable Fortran-order float64 "
+                             "arrays")
+    if A.shape != (n, n) or not 1 <= nb <= n:
+        raise ValueError(f"dtpqrt of A {A.shape}, B {B.shape}, block {nb}")
+    # T (nb, n), then the workspace: scratch that numpy never sees
+    T = (ctypes.c_double * (2 * nb * n))()
+    t = ctypes.addressof(T)
+    M, N, NB, info = _I64(m), _I64(n), _I64(nb), _I64()
+    _DTPQRT(M, N, _I64(0), NB, A.ctypes.data, N, B.ctypes.data, M, t, NB,
+            t + 8 * nb * n, info)
+    if info.value:
+        raise RuntimeError(f"dtpqrt failed: info {info.value}")
+
+
 # A lower triangle packed row by row is, element for element, the upper
 # triangle of its transpose packed column by column: LAPACK's packed
 # layout with uplo 'U'. dtpttr and dtrttp then copy it exactly.
 def unpack_lower(packed: np.ndarray, n: int) -> np.ndarray:
     """The C-contiguous (n, n) lower-triangular matrix of a packed row."""
-    return dtpttr(n, packed.ravel(), uplo="U")[0].T
+    return _tpttr(packed, n).T
 
 
 def pack_lower(L: np.ndarray) -> np.ndarray:
     """The (1, n(n+1)/2) row of the lower triangle of L, row by row."""
-    return dtrttp(L.T, uplo="U")[0].reshape(1, -1)
+    return _trttp(L.T).reshape(1, -1)
 
 
 # The smallest population of each family's classical and -diff variants,
@@ -204,10 +272,9 @@ class CmaState:
     with ``rank_weights`` and gate with the binary h_sigma, so at learning
     rate zero the differentiable variant is the classical one.
 
-    The update flips the signs of R's rows in place and packs R itself
-    (R's upper triangle packed by columns is Rᵀ's lower one packed by
-    rows), so no second d x d array is formed. Rᵀ, the dense factor of the
-    row ``commit`` returns, is kept for the next ``sample`` of that same
+    The update packs R itself (R's upper triangle packed by columns is Rᵀ's
+    lower one packed by rows), so no second d x d array is formed. Rᵀ, the
+    dense factor of the row ``commit`` returns, is kept for the next ``sample`` of that same
     row object, which then skips the unpack, and is dropped there. The
     returned row is read-only: a caller that wants another factor passes
     another array, which ``sample`` unpacks.
@@ -296,26 +363,31 @@ class CmaState:
             cc * (2.0 - cc) * mu_eff_t
         ) * ((mu_cand - mu_prev) / sigma_prev)
 
-        # the R of a QR of [sqrt(a) Lᵀ; Uᵀ] has RᵀR = a L Lᵀ + U Uᵀ = C_new;
-        # sqrt(a) scales the factor while it is still packed; the
-        # Fortran-order upper triangle dtpttr unpacks is sqrt(a) Lᵀ
+        # the R of a QR of [sqrt(a) Lᵀ; Uᵀ] has RᵀR = a L Lᵀ + U Uᵀ = C_new,
+        # and so has the R of the negated blocks, -R bit for bit (Householder
+        # QR is odd in its input). dtpqrt's pivot for R_jj is the block's own
+        # (j, j) entry, -sqrt(a) L_jj (earlier reflectors touch only earlier
+        # rows of it), and R_jj takes the opposite sign: positive wherever
+        # L_jj is, so only rows where the factor's diagonal is negative are
+        # flipped. The scalar factors carry the sign, which is exact;
+        # -sqrt(a) scales the factor while it is still packed, and the
+        # Fortran-order upper triangle dtpttr unpacks is -sqrt(a) Lᵀ
         Y = (X - mu_prev) / sigma_prev
         delta_h = (1.0 - h_sig) * cc * (2.0 - cc)
         a = 1.0 - k.c_1 - k.c_mu + k.c_1 * delta_h
-        Ut = np.vstack([math.sqrt(k.c_1) * self.p_c,
-                        np.sqrt(k.c_mu * w)[:, None] * Y])
-        sLt = dtpttr(d, (math.sqrt(a) * packed).ravel(), uplo="U")[0]
-        R, _, _, info = dtpqrt(0, min(32, d), sLt, Ut,
-                               overwrite_a=1, overwrite_b=1)
-        if info != 0:
-            raise RuntimeError(f"covariance factor update failed: info {info}")
-        # flip R's rows in place for a positive diagonal (fancy-indexed
-        # rows of the Fortran-order R are much slower); Rᵀ is then the new
-        # factor, C-contiguous. dtpqrt takes a NaN without failing
-        R *= np.where(np.diag(R) < 0.0, -1.0, 1.0)[:, None]
+        Ut = np.empty((w.shape[0] + 1, d), order="F")
+        np.multiply(-math.sqrt(k.c_1), self.p_c, out=Ut[0])
+        np.multiply(-np.sqrt(k.c_mu * w)[:, None], Y, out=Ut[1:])
+        R = _tpttr(-math.sqrt(a) * packed, d)
+        _tpqrt(R, Ut, min(32, d))
+        neg = np.diag(R) < 0.0
+        if neg.any():
+            R[neg] *= -1.0
+        # Rᵀ is the new factor, C-contiguous. dtpqrt takes a NaN without
+        # failing
         L_new = _finite_factor(R.T)
         self.mean_diag_c = float(np.vdot(L_new, L_new)) / d
-        packed_new = dtrttp(R, uplo="U")[0].reshape(1, -1)
+        packed_new = _trttp(R).reshape(1, -1)
         packed_new.flags.writeable = False
         self._dense = (packed_new, L_new)
 

@@ -7,10 +7,12 @@ disjoint slice, and BLAS is pinned to one thread, so results are bitwise
 identical at any pool width. Chunks run numpy only (no gradevo function)
 and write into buffers the caller allocated.
 
-``pin_blas`` sets the OpenBLAS that numpy and scipy ship to one thread:
-with more, a product's summation order follows the thread count, and the
-same seed gives different bytes on different machines. ``blas_threads``
-reads their counts back without setting them.
+``pin_blas`` sets the OpenBLAS that numpy ships to one thread: with more,
+a product's summation order follows the thread count, and the same seed
+gives different bytes on different machines. ``blas_threads`` reads the
+count back without setting it. ``lapack`` hands out routines of that same
+library, which numpy's wheels build with 64-bit integers, so every BLAS
+and LAPACK call gradevo makes runs in the one pinned OpenBLAS.
 
 ``set_malloc`` fixes glibc's ``M_MMAP_THRESHOLD`` at 16 MiB and
 ``M_TRIM_THRESHOLD`` at 44 MiB through ``mallopt``. At glibc's defaults a
@@ -31,6 +33,9 @@ than glibc is left alone.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
 import platform
 
@@ -75,8 +80,7 @@ def run(fn, *args) -> None:
         fn(*calls[0])
         return
     if _pool is None:
-        # imported here, like ctypes and glob below, to keep them off the
-        # import of gradevo
+        # imported here to keep it off the import of gradevo
         from concurrent.futures import ThreadPoolExecutor
         _pool = ThreadPoolExecutor(_width, thread_name_prefix="gradevo-par")
     futures = [_pool.submit(fn, *a) for a in calls[1:]]
@@ -89,58 +93,63 @@ def run(fn, *args) -> None:
             raise exc
 
 
-def _openblas_call(lib, verb: str):
-    for name in (f"scipy_openblas_{verb}_num_threads64_",
-                 f"scipy_openblas_{verb}_num_threads",
-                 f"openblas_{verb}_num_threads64_",
-                 f"openblas_{verb}_num_threads"):
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            return fn
-    return None
+@functools.cache
+def _numpy_openblas() -> tuple:
+    """Each OpenBLAS bundled with numpy (``numpy.libs``), loaded once."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    pattern = os.path.join(site, "numpy.libs", "*openblas*")
+    return tuple(ctypes.CDLL(path) for path in sorted(glob.glob(pattern)))
 
 
 def _openblas_libs():
-    """(folder, set, get) for each OpenBLAS bundled with numpy or scipy
-    that exports both thread calls; folder is "numpy" or "scipy"."""
-    import ctypes
-    import glob
-
-    site = os.path.dirname(os.path.dirname(np.__file__))
-    for pkg in ("numpy", "scipy"):
-        pattern = os.path.join(site, f"{pkg}.libs", "*openblas*")
-        for path in sorted(glob.glob(pattern)):
-            lib = ctypes.CDLL(path)
-            set_threads = _openblas_call(lib, "set")
-            get_threads = _openblas_call(lib, "get")
-            if set_threads is None or get_threads is None:
-                continue
-            set_threads.argtypes = [ctypes.c_int]
-            set_threads.restype = None
-            get_threads.argtypes = []
-            get_threads.restype = ctypes.c_int
-            yield pkg, set_threads, get_threads
+    """(set, get) for each OpenBLAS bundled with numpy that exports both
+    thread calls."""
+    for lib in _numpy_openblas():
+        set_threads, get_threads = (
+            getattr(lib, f"scipy_openblas_{verb}_num_threads64_", None)
+            for verb in ("set", "get"))
+        if set_threads is None or get_threads is None:
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        yield set_threads, get_threads
 
 
 def blas_threads() -> dict:
-    """The thread count each OpenBLAS bundled with numpy or scipy reports,
-    keyed "numpy" and "scipy" (the larger when a folder holds two); it
-    sets nothing. Empty when there is none (another BLAS)."""
-    counts: dict = {}
-    for pkg, _, get_threads in _openblas_libs():
-        counts[pkg] = max(counts.get(pkg, 0), int(get_threads()))
-    return counts
+    """The thread count numpy's OpenBLAS reports, keyed "numpy" (the larger
+    when ``numpy.libs`` holds two); it sets nothing. Empty when there is
+    none (another BLAS)."""
+    counts = [int(get_threads()) for _, get_threads in _openblas_libs()]
+    return {"numpy": max(counts)} if counts else {}
 
 
 def pin_blas() -> int:
-    """Set every OpenBLAS bundled with numpy or scipy to one thread.
+    """Set every OpenBLAS bundled with numpy to one thread.
 
-    Returns the largest thread count read back from them, 0 when none is
-    found (another BLAS, which this leaves alone).
+    Returns the largest thread count read back, 0 when none is found
+    (another BLAS, which this leaves alone).
     """
-    for _, set_threads, _ in _openblas_libs():
+    for set_threads, _ in _openblas_libs():
         set_threads(1)
-    return max(blas_threads().values(), default=0)
+    return blas_threads().get("numpy", 0)
+
+
+def lapack(*names: str) -> list:
+    """The ctypes functions of the LAPACK routines ``names`` ("dtpqrt",
+    ...) in numpy's OpenBLAS, whose integers are 64-bit (``scipy_<name>_64_``
+    in numpy's wheels). Their argument and result types are left for the
+    caller to set. RuntimeError naming the symbols when no OpenBLAS bundled
+    with numpy exports them all."""
+    symbols = [f"scipy_{name}_64_" for name in names]
+    for lib in _numpy_openblas():
+        fns = [getattr(lib, sym, None) for sym in symbols]
+        if all(fn is not None for fn in fns):
+            return fns
+    raise RuntimeError(
+        f"numpy's bundled OpenBLAS does not export {', '.join(symbols)}; "
+        "gradevo needs numpy's wheels, which ship it in numpy.libs")
 
 
 MMAP_THRESHOLD = 16 << 20
@@ -159,8 +168,6 @@ def set_malloc() -> dict | None:
     """
     if platform.libc_ver()[0] != "glibc":
         return None
-    import ctypes
-
     mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt.restype = ctypes.c_int

@@ -624,14 +624,13 @@ def test_commit_packs_r_in_place_bitwise_as_the_dense_formula(monkeypatch):
     # of the packed, mean(diag C) and factor of Rᵀ * sign
     d = 300
     cma, args = _commit_inputs(d, 30)
-    qr, dtpqrt = [], classic.dtpqrt
+    qr, tpqrt = [], classic._tpqrt
 
-    def spy(*a, **kw):
-        out = dtpqrt(*a, **kw)
-        qr.append(out[0].copy())
-        return out
+    def spy(A, B, nb):
+        tpqrt(A, B, nb)
+        qr.append(A.copy())
 
-    monkeypatch.setattr(classic, "dtpqrt", spy)
+    monkeypatch.setattr(classic, "_tpqrt", spy)
     _, _, packed = cma.commit(*args)
     R = qr[0]
     assert np.any(np.diag(R) < 0.0) and np.any(np.diag(R) > 0.0)
@@ -664,6 +663,44 @@ def test_commit_hands_its_dense_factor_to_the_next_sample_only():
     np.testing.assert_array_equal(M, unpack_lower(packed, d) @ z)
     np.testing.assert_array_equal(X, mean + 0.5 * M.T)
     assert cma._dense is None
+
+
+def test_unpacked_factors_are_zero_above_the_diagonal():
+    # dtpttr writes only the triangle it unpacks: the rest is whatever the
+    # array held, and a freed block of the same size is what the next
+    # array of that size is likely given
+    d = 200
+    cma, args = _commit_inputs(d, 12)
+    np.full((d, d), np.nan, order="F")          # made and freed at once
+    assert not np.triu(unpack_lower(args[-1], d), 1).any()
+    np.full((d, d), np.nan, order="F")
+    cma.commit(*args)
+    assert not np.triu(cma._dense[1], 1).any()
+
+
+def test_qr_of_the_negated_blocks_is_the_negated_r_bitwise():
+    # commit hands dtpqrt -[sqrt(a) Lᵀ; Uᵀ] and so gets -R without a pass
+    # over R; Householder QR is odd in its input
+    d, m = 40, 9
+    g = np.random.default_rng(3)
+    A = np.asfortranarray(np.triu(g.normal(size=(d, d))))
+    B = np.asfortranarray(g.normal(size=(m, d)))
+    R, R_neg = A.copy(order="F"), np.asfortranarray(-A)
+    classic._tpqrt(R, B.copy(order="F"), 8)
+    classic._tpqrt(R_neg, np.asfortranarray(-B), 8)
+    np.testing.assert_array_equal(R_neg.view(np.int64), (-R).view(np.int64))
+
+
+def test_lapack_wrappers_reject_arrays_they_cannot_pass():
+    with pytest.raises(ValueError, match="packed entries"):
+        unpack_lower(np.zeros((1, 5)), 3)
+    with pytest.raises(ValueError, match="square"):
+        pack_lower(np.zeros((3, 4)))
+    A, B = np.eye(3, order="F"), np.zeros((2, 3), order="F")
+    with pytest.raises(ValueError, match="Fortran-order"):
+        classic._tpqrt(A, np.zeros((2, 3)), 2)
+    with pytest.raises(ValueError, match="block 4"):
+        classic._tpqrt(A, B, 4)
 
 
 def test_committed_packed_row_is_read_only():

@@ -1,5 +1,5 @@
-"""The row pool: chunking, exceptions from chunks, the BLAS pin and the
-allocator policy."""
+"""The row pool: chunking, exceptions from chunks, the BLAS pin, the LAPACK
+lookup and the allocator policy."""
 
 import json
 import os
@@ -80,14 +80,30 @@ def test_blas_threads_reads_without_setting(monkeypatch):
     calls = []
 
     def fake_libs():
-        for pkg, n in (("numpy", 4), ("scipy", 2), ("scipy", 3)):
-            yield pkg, lambda k: calls.append(k), lambda n=n: n
+        for n in (2, 4, 3):
+            yield lambda k: calls.append(k), lambda n=n: n
 
     monkeypatch.setattr(par, "_openblas_libs", fake_libs)
-    assert par.blas_threads() == {"numpy": 4, "scipy": 3}
+    assert par.blas_threads() == {"numpy": 4}
     assert calls == []
     par.pin_blas()
     assert calls == [1, 1, 1]
+
+
+def test_lapack_names_the_symbols_numpys_openblas_lacks(monkeypatch):
+    monkeypatch.setattr(par, "_numpy_openblas", lambda: [])
+    with pytest.raises(RuntimeError, match="scipy_dtpqrt_64_, scipy_dfoo_64_"):
+        par.lapack("dtpqrt", "dfoo")
+
+
+def test_importing_the_cli_loads_no_scipy():
+    src = str(Path(gradevo.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, gradevo.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": src}, check=True, text=True,
+        stdout=subprocess.PIPE, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 # --- the allocator policy -----------------------------------------------------

@@ -14,14 +14,13 @@ length ``BENCHMARK.json`` sets.
 
 The JSON file records the git revisions, the environment perfbench reports
 on each side (Python, numpy and scipy versions, the BLAS threads read back
-from numpy's OpenBLAS, the pool width as ``nproc``), the thread counts of
-both OpenBLAS builds, numpy's and scipy's (which runs the CMA-ES factor
-update), read in each side's checkout under perfbench's environment, the
-allocator policy each side sets (``par.set_malloc``; null on a side
-without one), the seeds, every pair's end-to-end metrics and, per workload
-and metric, each side's median and quartiles, the change/parent ratios
-with their median and quartiles, and how many pairs the change won (ties
-count for neither side).
+from numpy's OpenBLAS, the pool width as ``nproc``), the OpenBLAS thread
+counts ``par.blas_threads`` reads in each side's checkout under
+perfbench's environment, the allocator policy each side sets
+(``par.set_malloc``; null on a side without one), the seeds, every pair's
+end-to-end metrics and, per workload and metric, each side's median and
+quartiles, the change/parent ratios with their median and quartiles, and
+how many pairs the change won (ties count for neither side).
 """
 
 from __future__ import annotations
@@ -98,9 +97,9 @@ def probe(checkout: Path, code: str):
 
 
 def blas_threads(checkout: Path) -> dict:
-    """The thread counts of numpy's and of scipy's OpenBLAS, keyed "numpy"
-    and "scipy", as ``checkout`` reads them (``par.blas_threads`` sets
-    none)."""
+    """The thread count of each OpenBLAS ``checkout`` pins, keyed by the
+    package that ships it, as its ``par.blas_threads`` reads them (it sets
+    none): numpy's, which also runs the CMA-ES factor update."""
     return probe(checkout, "import json; from gradevo import par; "
                            "print(json.dumps(par.blas_threads()))")
 
