@@ -294,6 +294,22 @@ def _minor_faults() -> int:
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
+def thread_cpus() -> str:
+    """The CPU each thread of this process last ran on, in thread-id
+    order and comma-separated (field 39 of ``/proc/self/task/*/stat``),
+    or "unknown" where those files are missing."""
+    try:
+        tids = sorted(os.listdir("/proc/self/task"), key=int)
+        cpus = []
+        for tid in tids:
+            with open(f"/proc/self/task/{tid}/stat") as fh:
+                # fields 3 onwards follow the parenthesised command name
+                cpus.append(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError):
+        return "unknown"
+    return ",".join(cpus)
+
+
 def _malloc_text(policy) -> str:
     if policy is None:
         return "default"
@@ -369,6 +385,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False):
         fh.write(f"blas_threads={blas_threads}\n")
         fh.write(f"malloc={_malloc_text(malloc)}\n")
         fh.write(f"minor_faults={faults}\n")
+        fh.write(f"thread_cpus={thread_cpus()}\n")
     if not quiet:
         print(
             f"{cfg.resolved_label()}: mean={stats.mean:.6g} "

@@ -22,8 +22,8 @@ faults per generation of ``ga-diff`` and ``de-diff`` at Ackley-30, pop
 100, and 800 per epoch of the wine adam arm. glibc's own rule raises the
 thresholds only after a large mapping is freed, and a fixed pair acts from
 the first generation of any arm. 16 MiB keeps wine's 11 MB packed-factor
-arrays on the heap, while its 22 MB dense factor and 49 MB activation
-buffer stay mapped and are returned when freed. 44 MiB, twice the 22 MB
+arrays on the heap, while its 22 MB dense factor is mapped, and returned
+when freed, whenever the heap has no room for it. 44 MiB, twice the 22 MB
 mmap threshold glibc's rule settles at on wine, keeps the freed heap top
 without raising wine's peak RSS. The arithmetic is unchanged, so the CSVs
 are too. ``mallopt`` acts on the calling process only; ``init_process``

@@ -14,16 +14,19 @@ header row). ``write_synthetic_wine`` generates a fixed, seed-pinned table in
 the same format with realistic feature scales for offline runs; pass a real
 winequality-red.csv to ``load_wine`` and everything downstream is unchanged.
 
-``mlp_forward`` is the network's forward pass on the tape's path: it
-returns the loss of every parameter row of a (k, P) batch together with
-the hidden activations and residuals. ``eval_pop`` records the whole batch
-as a single tape node, ``mlp_mse``, whose parent is the (k, P) population
-and whose hand-written vjp (Griewank & Walther, *Evaluating Derivatives*,
-ch. 6) reads those buffers back, so the tape holds one node per population
-instead of a graph per candidate. ``eval_array`` needs the losses alone:
-``mlp_losses`` runs each row's same forward pass in one (n, n_hidden)
-scratch per chunk of rows instead of keeping the (k, n, n_hidden)
-activations, with the same bits.
+``mlp_forward`` is the network's forward pass, shared by both evaluation
+paths: it returns the loss of every parameter row of a (k, P) batch and
+the residuals, and computes each row's hidden activations in one
+(n, n_hidden) array per chunk of rows, so it never holds the
+(k, n, n_hidden) activations. ``eval_array`` keeps the losses alone.
+``eval_pop`` records the whole batch as a single tape node, ``mlp_mse``,
+whose parent is the (k, P) population and whose hand-written vjp
+(Griewank & Walther, *Evaluating Derivatives*, ch. 6) reads the residuals
+back, so the tape holds one node per population instead of a graph per
+candidate. The vjp recomputes the activations of each row it reaches into
+its chunk's array with the forward's own calls, except the row the array
+still holds (checkpointing, ibid. ch. 12), so the gradient has the bits
+of a pass that stored them.
 
 b1 is stored right after the row-major W1, so each row's first layer is
 one gemm of the inputs with a ones column, ``[F | 1] @ [W1; b1]``, and the
@@ -190,81 +193,73 @@ class MlpSpec:
         return (0, a), (a, b), (b, c), (c, c + 1)
 
 
+@dataclass
+class RowChunk:
+    """One chunk of a batch's parameter rows and the (n, n_hidden) array
+    in which the forward pass computed each of its rows' activations.
+    ``held`` is the row whose activations that array holds now, -1 before
+    any."""
+
+    rows: range
+    h: np.ndarray
+    held: int = -1
+
+
 def mlp_forward(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
                 spec: MlpSpec, *, with_ones: np.ndarray = None):
     """Mean-squared error of the network of each row of a (k, P) batch.
 
-    Returns ``(losses, h, r)``: the (k,) losses, the (k, n, n_hidden) tanh
-    activations and the (k, n, 1) residuals prediction - target, which are
-    what the vjp of ``WineProblem.eval_pop`` reads. The first layer is one
-    gemm, ``[F | 1] @ [W1; b1]``: the bias rides on a ones column, so no
-    pass broadcasts b1 across the activations. The rows are independent
-    and ``par.run`` spreads them over the CPUs; each chunk writes only its
-    own rows of these buffers and squares residuals into its own scratch,
-    so the losses are bitwise the same at any pool width. A batch of one
-    row (the backprop arm) is one chunk; its tanh is then spread over
-    data-row chunks instead (``_data_chunks``). The gemms stay whole,
-    because row blocks of a product change its bits.
+    Returns ``(losses, r, chunks)``: the (k,) losses, the (k, n, 1)
+    residuals prediction - target, and the ``RowChunk`` of each chunk of
+    rows. A chunk computes every row's tanh activations in its one
+    (n, n_hidden) array, so the pass holds one activation array per chunk,
+    not one per row; the array still holds the chunk's last row. The first
+    layer is one gemm, ``[F | 1] @ [W1; b1]`` (``_hidden``): the bias
+    rides on a ones column, so no pass broadcasts b1 across the
+    activations. The rows are independent and ``par.run`` spreads the
+    chunks over the CPUs; each writes only its own rows of the losses and
+    residuals and squares residuals into its own scratch, so the losses
+    are bitwise the same at any pool width. A batch of one row (the
+    backprop arm) is one chunk; its tanh is then spread over data-row
+    chunks instead (``_data_chunks``). The gemms stay whole, because row
+    blocks of a product change its bits.
 
     ``with_ones`` is ``[F | 1]`` for a caller that keeps it, such as
     ``WineProblem``; it is built from ``features`` when omitted.
     """
-    loss, parts, k, n = _row_pass(X, features, targets, spec, with_ones)
-    h = np.empty((k, n, spec.n_hidden))
-    r = np.empty((k, n, 1))
-    losses = np.empty(k)
-
-    def rows(part, sq):
-        for i in part:
-            losses[i] = loss(X[i], h[i], r[i], sq)
-
-    par.run(rows, parts, np.empty((len(parts), n, 1)))
-    return losses, h, r
-
-
-def mlp_losses(X: np.ndarray, features: np.ndarray, targets: np.ndarray,
-               spec: MlpSpec, *, with_ones: np.ndarray = None) -> np.ndarray:
-    """The (k,) losses of ``mlp_forward``, bitwise, without its buffers:
-    each chunk of rows computes every row in one (n, n_hidden) and one
-    (n, 1) scratch of its own, so the pass holds one activation array per
-    chunk, not one per row."""
-    loss, parts, k, n = _row_pass(X, features, targets, spec, with_ones)
-    losses = np.empty(k)
-
-    def rows(part, sq, hs, rs):
-        for i in part:
-            losses[i] = loss(X[i], hs, rs, sq)
-
-    m = len(parts)
-    par.run(rows, parts, np.empty((m, n, 1)),
-            np.empty((m, n, spec.n_hidden)), np.empty((m, n, 1)))
-    return losses
-
-
-def _row_pass(X, features, targets, spec, with_ones):
-    """What ``mlp_forward`` and ``mlp_losses`` share: the shape check, the
-    chunks of rows, and the one row's forward pass ``loss(p, hi, ri, sq)``,
-    which computes the activations in hi, the residuals in ri and their
-    squares in sq, and returns p's loss."""
     if X.ndim != 2 or X.shape[1] != spec.n_params:
         raise ValueError(f"params must be (k, {spec.n_params}), got {X.shape}")
-    (w1a, _), (_, b1b), (w2a, w2b), (b2a, b2b) = spec.unpack_spans()
+    _, _, (w2a, w2b), (b2a, b2b) = spec.unpack_spans()
     k, n = X.shape[0], features.shape[0]
     f1 = _with_ones(features) if with_ones is None else with_ones
     t = targets.reshape(n, 1)
-    parts = par.split(k)
-    cuts = _data_chunks(n, len(parts))
+    chunks = [RowChunk(part, np.empty((n, spec.n_hidden)))
+              for part in par.split(k)]
+    cuts = _data_chunks(n, len(chunks))
+    r = np.empty((k, n, 1))
+    losses = np.empty(k)
 
-    def loss(p, hi, ri, sq) -> float:
-        np.matmul(f1, p[w1a:b1b].reshape(spec.n_in + 1, spec.n_hidden),
-                  out=hi)
-        par.run(_tanh, [hi[c] for c in cuts])
-        np.matmul(hi, p[w2a:w2b].reshape(spec.n_hidden, 1), out=ri)
-        ri += p[b2a:b2b]
-        ri -= t
-        return np.power(ri, 2.0, out=sq).mean()
+    def rows(chunk, sq):
+        for i in chunk.rows:
+            p, ri = X[i], r[i]
+            _hidden(f1, p, spec, cuts, chunk.h)
+            chunk.held = i
+            np.matmul(chunk.h, p[w2a:w2b].reshape(spec.n_hidden, 1), out=ri)
+            ri += p[b2a:b2b]
+            ri -= t
+            losses[i] = np.power(ri, 2.0, out=sq).mean()
 
-    return loss, parts, k, n
+    par.run(rows, chunks, np.empty((len(chunks), n, 1)))
+    return losses, r, chunks
+
+
+def _hidden(f1, p, spec, cuts, out) -> None:
+    """Row p's activations tanh([F | 1] @ [W1; b1]) in ``out``, the tanh
+    over the data-row slices ``cuts``: the same calls, and so the same
+    bits, wherever they run."""
+    (w1a, _), (_, b1b), _, _ = spec.unpack_spans()
+    np.matmul(f1, p[w1a:b1b].reshape(spec.n_in + 1, spec.n_hidden), out=out)
+    par.run(_tanh, [out[c] for c in cuts])
 
 
 def _data_chunks(n: int, row_chunks: int) -> list:
@@ -317,38 +312,54 @@ class WineProblem(Problem):
         return cls(feats, noisy_targets(quality, noise_seed), **kw)
 
     def _eval_array(self, X):
-        return mlp_losses(X, self.features, self.targets, self.spec,
-                          with_ones=self._f1)
+        return mlp_forward(X, self.features, self.targets, self.spec,
+                           with_ones=self._f1)[0]
 
     def _eval_pop(self, tape, X):
         """The population's losses as one ``mlp_mse`` node.
 
         Its vjp is the reverse of ``mlp_forward``, row by row, over the
-        rows whose loss gets a gradient. With gs = 2 g r / n and
+        rows whose loss gets a gradient. It keeps no activations of its
+        own: it walks each forward chunk's rows last-first, uses the row
+        the chunk's array still holds as it is, and recomputes every other
+        row's activations into that array with the forward's own calls
+        (``_hidden``), so they have the forward's bits (checkpointing,
+        Griewank & Walther, *Evaluating Derivatives*, ch. 12). Each chunk
+        records the row its array holds, so a second backward over the
+        node recomputes what the first overwrote. With gs = 2 g r / n and
         d = 1 - h², the gradient of ``[W1; b1]`` is ``([F | 1] ⊙ gs)ᵀ d``
         with its columns scaled by W2: one gemm written straight into the
         row's gradient, with no pass that broadcasts W2 or b1 across the
-        (n, n_hidden) activations. ``par.run`` spreads the rows over the
-        CPUs; each chunk has its own scratch and writes only its rows of
-        the gradient, so the gradient is bitwise the same at any pool
-        width. With one such row, d is formed over data-row chunks, as in
-        ``mlp_forward``.
+        (n, n_hidden) activations. ``par.run`` spreads the chunks with a
+        reached row over the CPUs; each has its own scratch and writes
+        only its rows of the gradient, so the gradient is bitwise the same
+        at any pool width. With one such chunk, the tanh and d are formed
+        over data-row chunks, as in ``mlp_forward``.
         """
-        xv, F, f1 = X.value, self.features, self._f1
-        losses, h, r = mlp_forward(xv, F, self.targets, self.spec,
-                                   with_ones=f1)
-        (w1a, _), (_, b1b), (w2a, w2b), (b2a, _) = self.spec.unpack_spans()
-        n_in, n_hidden = self.spec.n_in, self.spec.n_hidden
+        xv, F, f1, spec = X.value, self.features, self._f1, self.spec
+        losses, r, chunks = mlp_forward(xv, F, self.targets, spec,
+                                        with_ones=f1)
+        (w1a, _), (_, b1b), (w2a, w2b), (b2a, _) = spec.unpack_spans()
+        n_in, n_hidden = spec.n_in, spec.n_hidden
         n = F.shape[0]
 
         def vjp(g):
             # a row whose loss gets no gradient (every row but the winner
             # under a "best" loss) keeps its zeros
             grad = np.zeros(xv.shape)
+            reached = [(c, [i for i in reversed(c.rows) if g[i, 0]])
+                       for c in chunks]
+            reached = [(c, idx) for c, idx in reached if idx]
+            if not reached:
+                return (grad,)
 
-            def rows(part, gs, f1gs, d):
-                for i in part:
-                    hi = h[i]
+            def rows(work, gs, f1gs, d):
+                chunk, idx = work
+                hi = chunk.h
+                for i in idx:
+                    if chunk.held != i:
+                        _hidden(f1, xv[i], spec, cuts, hi)
+                        chunk.held = i
                     np.multiply((g[i, 0] / n) * 2.0, r[i], out=gs)
                     np.matmul(hi.T, gs, out=grad[i, w2a:w2b].reshape(n_hidden, 1))
                     grad[i, b2a] = gs.sum()
@@ -359,10 +370,9 @@ class WineProblem(Problem):
                     np.matmul(f1gs.T, d, out=g1)
                     g1 *= xv[i, w2a:w2b]
 
-            parts = par.split(np.flatnonzero(g[:, 0]))
-            m = len(parts)
+            m = len(reached)
             cuts = _data_chunks(n, m)
-            par.run(rows, parts, np.empty((m, n, 1)),
+            par.run(rows, reached, np.empty((m, n, 1)),
                     np.empty((m, n, n_in + 1)), np.empty((m, n, n_hidden)))
             return (grad,)
 

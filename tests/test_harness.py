@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gradevo
-from gradevo import cli
+from gradevo import cli, harness
 from gradevo.classic import MIN_POP, ClassicPso
 from gradevo.harness import (
     ALGO_NAMES,
@@ -178,6 +178,20 @@ def test_experiment_writes_runs_summary_and_timing(tmp_path):
         assert "malloc=mmap 16777216 trim 46137344 accepted" in log
     faults = [line for line in log if line.startswith("minor_faults=")]
     assert len(faults) == 1 and int(faults[0].split("=")[1]) >= 0
+    [cpus] = [line.split("=")[1] for line in log
+              if line.startswith("thread_cpus=")]
+    if os.path.isdir("/proc/self/task"):
+        assert all(cpu.isdigit() for cpu in cpus.split(","))
+    else:
+        assert cpus == "unknown"
+
+
+def test_thread_cpus_reads_unknown_without_proc(monkeypatch):
+    def missing(path):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(harness.os, "listdir", missing)
+    assert harness.thread_cpus() == "unknown"
 
 
 @pytest.mark.parametrize("workers", [1, 2])

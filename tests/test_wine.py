@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gradevo import par
+from gradevo import par, wine
 from gradevo.harness import ExperimentConfig, run_single, synthetic_wine_path
 from gradevo.tape import Tape
 from gradevo.wine import (
@@ -89,9 +89,12 @@ def test_zero_params_give_zero_predictions():
     spec = MlpSpec()
     feats = np.random.default_rng(0).normal(size=(7, 11))
     targets = np.arange(7.0)
-    mse, h, r = mlp_forward(np.zeros((1, spec.n_params)), feats, targets, spec)
+    mse, r, chunks = mlp_forward(np.zeros((1, spec.n_params)), feats,
+                                 targets, spec)
     np.testing.assert_allclose(mse[0], np.mean(targets ** 2), rtol=1e-12)
-    assert h.shape == (1, 7, 128) and not h.any()
+    [chunk] = chunks
+    assert chunk.held == 0
+    assert chunk.h.shape == (7, 128) and not chunk.h.any()
     np.testing.assert_array_equal(r[0, :, 0], -targets)
 
 
@@ -123,20 +126,31 @@ def test_tape_forward_matches_array_reference(table):
                                       prob.eval_array(X).view(np.int64))
 
 
+def _peak_bytes(fn) -> int:
+    fn()                                    # the pool starts outside
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_array_losses_keep_no_activation_buffer(table):
-    # eval_array computes each row in a scratch per chunk of rows; the
-    # tape's path keeps all k (n, n_hidden) activations for its vjp
+    # both paths compute each row in one array per chunk of rows, and the
+    # vjp recomputes into those arrays what the forward overwrote: neither
+    # holds all k (n, n_hidden) activations
     prob = WineProblem.from_file(table, noise_seed=0)
     X = np.random.default_rng(2).uniform(-10, 10, size=(30, 1665))
     activations = 8 * 30 * prob.features.shape[0] * prob.spec.n_hidden
-    prob.eval_array(X)                      # the pool starts outside
-    tracemalloc.start()
-    try:
-        prob.eval_array(X)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < activations / 4
+
+    def tape_pass():
+        t = Tape()
+        px = t.param("x", X)
+        t.backward(t.mean(prob.eval_pop(t, px.raw)))
+
+    assert _peak_bytes(lambda: prob.eval_array(X)) < activations / 4
+    assert _peak_bytes(tape_pass) < activations / 4
 
 
 @pytest.mark.parametrize("reduce", ["mean", "best"])
@@ -192,15 +206,19 @@ def _reference_gradient(X, F, targets, spec, g):
     return grad
 
 
-def test_forward_matches_the_textbook_network(table):
+def test_forward_matches_the_textbook_network(table, monkeypatch):
+    # two chunks of rows: each array ends holding its chunk's last row
+    monkeypatch.setattr(par, "_width", 2)
     prob = WineProblem.from_file(table, noise_seed=0)
     X = np.random.default_rng(5).uniform(-10, 10, size=(7, 1665))
-    losses, h, r = mlp_forward(X, prob.features, prob.targets, prob.spec)
+    losses, r, chunks = mlp_forward(X, prob.features, prob.targets, prob.spec)
     ref = _reference_network(X, prob.features, prob.targets, prob.spec)
-    for i, (h_ref, r_ref) in enumerate(ref):
-        np.testing.assert_allclose(h[i], h_ref, rtol=1e-13)
+    for i, (_, r_ref) in enumerate(ref):
         np.testing.assert_allclose(r[i], r_ref, rtol=1e-13)
         np.testing.assert_allclose(losses[i], np.mean(r_ref ** 2), rtol=1e-13)
+    assert [c.held for c in chunks] == [2, 6]
+    for chunk in chunks:
+        np.testing.assert_allclose(chunk.h, ref[chunk.held][0], rtol=1e-13)
 
 
 @pytest.mark.parametrize("reduce", ["mean", "best"])
@@ -258,6 +276,107 @@ def test_best_loss_gradient_reaches_only_the_winning_row(table):
     p1 = t1.param("x", X[idx:idx + 1])
     t1.backward(prob.eval_pop(t1, p1.raw))
     np.testing.assert_array_equal(g[idx:idx + 1], p1.raw.grad)
+
+
+def _population_of_one_gradient(prob, x):
+    t = Tape()
+    p = t.param("x", x.reshape(1, -1))
+    t.backward(prob.eval_pop(t, p.raw))
+    return p.raw.grad
+
+
+def test_best_winner_inside_its_chunk_gets_its_own_gradient_bitwise(
+        table, monkeypatch):
+    # the winner is the first row of the first of two chunks, whose array
+    # holds the chunk's last row: the vjp recomputes the winner's
+    # activations, with the bits of a population of one
+    monkeypatch.setattr(par, "_width", 2)
+    prob = WineProblem.from_file(table, noise_seed=0)
+    X = np.random.default_rng(4).uniform(-10, 10, size=(7, 1665))
+    X = X[np.argsort(prob.eval_array(X))]
+    t = Tape()
+    px = t.param("x", X)
+    loss, idx = t.min_with_index(prob.eval_pop(t, px.raw))
+    assert idx == 0
+    t.backward(loss)
+    g = px.raw.grad
+    assert not g[1:].any()
+    np.testing.assert_array_equal(g[:1].view(np.int64),
+                                  _population_of_one_gradient(prob, X[0])
+                                  .view(np.int64))
+
+
+@pytest.mark.parametrize("reduce", ["mean", "best"])
+def test_second_backward_doubles_the_gradient_bitwise(table, monkeypatch,
+                                                      reduce):
+    # the first backward leaves other rows in the chunk arrays than the
+    # forward did; the second must recompute what it needs again
+    monkeypatch.setattr(par, "_width", 2)
+    prob = WineProblem.from_file(table, noise_seed=0)
+    X = np.random.default_rng(6).uniform(-10, 10, size=(7, 1665))
+    X = X[np.argsort(-prob.eval_array(X))]     # the best row ends chunk 2
+    t = Tape()
+    px = t.param("x", X)
+    fit = prob.eval_pop(t, px.raw)
+    loss = t.mean(fit) if reduce == "mean" else t.min_with_index(fit)[0]
+    t.backward(loss)
+    once = px.raw.grad.copy()
+    t.backward(loss)
+    assert once.any()
+    np.testing.assert_array_equal(px.raw.grad.view(np.int64),
+                                  (2.0 * once).view(np.int64))
+
+
+def test_vjp_recomputes_only_the_rows_the_chunks_no_longer_hold(
+        table, monkeypatch):
+    # the forward computes 7 rows in two chunks; the vjp reuses each
+    # chunk's last row and recomputes the other 5, and the backprop arm's
+    # one row is never recomputed
+    monkeypatch.setattr(par, "_width", 2)
+    prob = WineProblem.from_file(table, noise_seed=0)
+    calls = []
+    hidden = wine._hidden
+
+    def counted(f1, p, *args):
+        calls.append(p)
+        hidden(f1, p, *args)
+
+    monkeypatch.setattr(wine, "_hidden", counted)
+    for k, recomputed in ((7, 5), (1, 0)):
+        X = np.random.default_rng(8).uniform(-10, 10, size=(k, 1665))
+        t = Tape()
+        px = t.param("x", X)
+        fit = prob.eval_pop(t, px.raw)
+        assert len(calls) == k
+        t.backward(t.mean(fit))
+        assert len(calls) == k + recomputed
+        calls.clear()
+
+
+def test_two_loss_nodes_on_one_tape_each_give_their_own_gradient(
+        table, monkeypatch):
+    # each node keeps its own chunk arrays: recording the second node,
+    # and backpropagating through it, leaves the first node's rows alone
+    monkeypatch.setattr(par, "_width", 2)
+    prob = WineProblem.from_file(table, noise_seed=0)
+    rng = np.random.default_rng(7)
+    XA, XB = rng.uniform(-10, 10, size=(2, 7, 1665))
+
+    def alone(X):
+        t = Tape()
+        px = t.param("x", X)
+        t.backward(t.mean(prob.eval_pop(t, px.raw)))
+        return px.raw.grad
+
+    t = Tape()
+    pa, pb = t.param("a", XA), t.param("b", XB)
+    fa = prob.eval_pop(t, pa.raw)
+    fb = prob.eval_pop(t, pb.raw)
+    t.backward(t.mean(fb))
+    t.backward(t.mean(fa))
+    for p, X in ((pa, XA), (pb, XB)):
+        np.testing.assert_array_equal(p.raw.grad.view(np.int64),
+                                      alone(X).view(np.int64))
 
 
 def test_unpack_spans_cover_every_parameter_once():
